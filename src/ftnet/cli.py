@@ -9,12 +9,13 @@ import argparse
 import json
 import pathlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import tensor as T
 from .audio import FrameBatch, frame_signal, overlap_add, read_wav, write_wav
-from .checkpoint import checkpoint_load
+from .checkpoint import checkpoint_load, checkpoint_save
 from .errors import (
     ConfigError,
     DegenerateSignalError,
@@ -92,10 +93,7 @@ def _parse_value(text):
 def load_config_file(path):
     """Read ``key = value`` lines; # starts a comment, commas make tuples."""
     overrides = {}
-    try:
-        text = pathlib.Path(path).read_text(encoding="utf-8")
-    except OSError:
-        raise
+    text = pathlib.Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -163,20 +161,13 @@ def _resolve_clean_path(manifest_path, record_path):
 
 def _load_manifest_pairs(args, train, seed):
     """Shared by mix and train: manifest + noise dir -> list of MixedPair."""
-    manifest = MixManifest.load(args.manifest)
-    manifest = MixManifest(
-        [
-            MixRecord(
-                _resolve_clean_path(args.manifest, r.clean_path),
-                r.snr_db, r.split, r.cut_point, r.crop_start,
-            )
-            for r in manifest
-        ]
-    )
+    manifest = MixManifest([
+        replace(r, clean_path=_resolve_clean_path(args.manifest, r.clean_path))
+        for r in MixManifest.load(args.manifest)
+    ])
     bank = NoiseBank.from_dir(args.noise_dir, seed=seed)
     target_len = int(round(train["target_seconds"] * train["sample_rate"]))
-    pairs = list(build_dataset(manifest, bank, seed=seed, target_len=target_len))
-    return pairs
+    return list(build_dataset(manifest, bank, seed=seed, target_len=target_len))
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +262,14 @@ def cmd_train(args):
             print(line)
             if log_fh:
                 print(line, file=log_fh)
+            checkpoint_save(params, state, args.out)
 
         print(LOG_HEADER)
         fit(
             params, state, train_pairs, val_pairs,
             max_epochs=train["max_epochs"], batch_size=train["batch_size"],
             halve_after=train["halve_after"], stop_after=train["stop_after"],
-            clip_grad=train["clip_grad"], checkpoint_path=args.out, log_fn=log_row,
+            clip_grad=train["clip_grad"], log_fn=log_row,
         )
     finally:
         if log_fh:
@@ -286,24 +278,26 @@ def cmd_train(args):
     return 0
 
 
-def _enhance_frames(params, frames, stages, batch=32):
+def _enhance_frames(params, frames, stages, collect_hidden, batch=32):
     """Run all frames through the network; returns per-stage frame arrays
-    plus per-stage hidden maps (stage-major lists)."""
+    plus per-stage hidden maps (stage-major lists; no maps unless
+    collect_hidden)."""
     n = frames.shape[0]
     stage_frames = [[] for _ in range(stages)]
     stage_hidden = [[] for _ in range(stages)]
     with T.no_grad():
         for lo in range(0, n, batch):
             x = T.Tensor(frames[lo : lo + batch])
-            _, estimates, hiddens = multistage_forward(
-                params, x, stages=stages, collect_hidden=True
+            result = multistage_forward(
+                params, x, stages=stages, collect_hidden=collect_hidden
             )
             for q in range(stages):
-                stage_frames[q].append(estimates[q].data)
-                stage_hidden[q].append(hiddens[q].data)
+                stage_frames[q].append(result[1][q].data)
+                if collect_hidden:
+                    stage_hidden[q].append(result[2][q].data)
     return (
         [np.concatenate(chunks) for chunks in stage_frames],
-        [np.concatenate(chunks) for chunks in stage_hidden],
+        [np.concatenate(chunks) for chunks in stage_hidden if chunks],
     )
 
 
@@ -321,7 +315,9 @@ def cmd_enhance(args):
     })
     clip, rate = read_wav(args.infile)
     batch = frame_signal(clip, config.frame_len, config.hop)
-    per_stage, hiddens = _enhance_frames(params, batch.frames, stages)
+    per_stage, hiddens = _enhance_frames(
+        params, batch.frames, stages, collect_hidden=bool(args.dump_hidden)
+    )
 
     def rebuild(frames):
         return overlap_add(FrameBatch(frames, batch.hop, batch.original_length))

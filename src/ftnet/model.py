@@ -12,7 +12,7 @@ produces frames of exactly ``config.frame_len`` samples.
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -111,9 +111,6 @@ class ModelConfig:
                 d[key] = tuple(int(x) for x in v)
         return cls(**d)
 
-    def override(self, **changes):
-        return replace(self, **changes)
-
 
 class FTNetParams:
     """Ordered bag of named parameters plus the config that shaped them."""
@@ -205,17 +202,11 @@ def build_model(config):
         bound = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
-    def add_conv(prefix, in_ch, out_ch, kernel, with_prelu):
-        fan = in_ch * kernel
-        params[f"{prefix}.weight"] = Parameter(f"{prefix}.weight", draw((out_ch, in_ch, kernel), fan))
-        params[f"{prefix}.bias"] = Parameter(f"{prefix}.bias", draw((1, out_ch, 1), fan))
-        if with_prelu:
-            params[f"{prefix}.prelu"] = Parameter(f"{prefix}.prelu", np.full((1, out_ch, 1), 0.25))
-
-    def add_deconv(prefix, in_ch, out_ch, kernel, with_prelu):
+    def add_conv(prefix, in_ch, out_ch, kernel, with_prelu, transposed=False):
         fan = in_ch * kernel
         # Transposed layout: (C_in, C_out, K).
-        params[f"{prefix}.weight"] = Parameter(f"{prefix}.weight", draw((in_ch, out_ch, kernel), fan))
+        shape = (in_ch, out_ch, kernel) if transposed else (out_ch, in_ch, kernel)
+        params[f"{prefix}.weight"] = Parameter(f"{prefix}.weight", draw(shape, fan))
         params[f"{prefix}.bias"] = Parameter(f"{prefix}.bias", draw((1, out_ch, 1), fan))
         if with_prelu:
             params[f"{prefix}.prelu"] = Parameter(f"{prefix}.prelu", np.full((1, out_ch, 1), 0.25))
@@ -237,7 +228,7 @@ def build_model(config):
     plan = _decoder_plan(config)
     for j, (in_ch, out_ch) in enumerate(plan, start=1):
         last = j == len(plan)
-        add_deconv(f"deconv1d_{j}", in_ch, out_ch, k, with_prelu=not last)
+        add_conv(f"deconv1d_{j}", in_ch, out_ch, k, with_prelu=not last, transposed=True)
 
     return FTNetParams(config, params)
 

@@ -3,12 +3,18 @@
 Every value is a rank-3 array laid out (batch, channels, length). The engine
 implements exactly the operations the enhancement network needs: strided and
 dilated 1-D convolution, its transposed counterpart, pointwise arithmetic,
-sigmoid/tanh/PReLU, channel concatenation, MAE loss, and an Adam step.
+sigmoid/tanh/PReLU, channel concatenation, MAE loss, and an Adam step. Both
+convolutions, forward and backward, share one im2col gather/scatter pair
+and contract with ``np.matmul``. Importing this module pins OpenBLAS to
+one thread for the process (see ``_one_blas_thread``).
 
 Gradients are recorded with closures on the output tensor (one closure per
-op) and propagated by a topological sweep in ``Tensor.backward``. Gradients
+op) and propagated by a topological sweep in ``Tensor.backward``, which
+consumes the graph as it goes: a graph is backpropagated once. Gradients
 accumulate additively, so reusing a tensor in several places just works.
 """
+
+import ctypes
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -24,11 +30,9 @@ __all__ = [
     "sigmoid",
     "tanh",
     "prelu",
-    "activation",
     "add",
     "sub",
     "mul",
-    "pointwise",
     "concat_channels",
     "mae_loss",
     "adam_step",
@@ -102,7 +106,8 @@ class Tensor:
     def backward(self):
         """Populate ``grad`` on every requires_grad tensor reachable from here.
 
-        Only defined for scalar (single-element) results.
+        Only defined for scalar (single-element) results. The sweep consumes
+        the graph, so a second backward() through it raises UsageError.
         """
         if self.data.size != 1:
             raise UsageError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -111,6 +116,9 @@ class Tensor:
         for node in order:
             if node._backward_fn is not None:
                 node._backward_fn()
+                # Each closure holds its own output: drop it to break the cycle.
+                node._backward_fn = _consumed
+                node._parents = ()
 
     def sum(self):
         """Sum over all elements, as a scalar tensor."""
@@ -134,6 +142,10 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def _consumed():
+    raise UsageError("backward() already ran through this graph")
 
 
 def _topo_order(root):
@@ -195,6 +207,73 @@ class Parameter:
 
 # ---------------------------------------------------------------------------
 # convolution
+#
+# A transposed convolution is the adjoint of a convolution, so both come from
+# one im2col gather and its adjoint scatter. The gathered copy is K times its
+# input, so backward closures keep the padded input and gather again.
+
+
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread for the whole process; a no-op without it.
+
+    The convs below are mid-size GEMMs. A second thread makes them ~15%
+    faster, but every call then waits at a barrier for it, for as long as
+    the scheduler keeps that thread off a free CPU. On a 2-vCPU box that
+    made a fresh process's first training operation up to 10x slower.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return
+    for lib in libs:
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+
+
+_one_blas_thread()
+
+
+def _gather(a, kernel, positions, stride, dilation):
+    """(B, C, L) -> (B, C*K, T) with [b, c*K + k, t] = a[b, c, t*stride + k*dilation]."""
+    batch, channels, _ = a.shape
+    s0, s1, s2 = a.strides
+    windows = as_strided(
+        a,
+        shape=(batch, channels, kernel, positions),
+        strides=(s0, s1, s2 * dilation, s2 * stride),
+    )
+    return windows.reshape(batch, channels * kernel, positions)
+
+
+def _scatter(cols, length, kernel, stride, dilation):
+    """Adjoint of ``_gather``: (B, C*K, T) summed back into a (B, C, length) array."""
+    batch, rows, positions = cols.shape
+    cols = cols.reshape(batch, rows // kernel, kernel, positions)
+    out = np.zeros((batch, rows // kernel, length), dtype=cols.dtype)
+    for k in range(kernel):
+        start = k * dilation
+        out[:, :, start : start + stride * (positions - 1) + 1 : stride] += cols[:, :, k, :]
+    return out
+
+
+def _pad(a, left, right):
+    if left or right:
+        return np.pad(a, ((0, 0), (0, 0), (left, right)))
+    return a
+
+
+def _check_conv(x, w_in, out_ch, bias, pads):
+    if min(pads) < 0:
+        raise ConfigError("padding must be non-negative")
+    in_ch = x.data.shape[1]
+    if w_in != in_ch:
+        raise ConfigError(f"input has {in_ch} channels but weight expects {w_in}")
+    if bias is not None and bias.data.shape != (1, out_ch, 1):
+        raise ConfigError(f"bias shape {bias.data.shape} does not match (1, {out_ch}, 1)")
 
 
 def conv1d(x, weight, bias=None, *, stride=1, dilation=1, pad_left=0, pad_right=0):
@@ -206,35 +285,18 @@ def conv1d(x, weight, bias=None, *, stride=1, dilation=1, pad_left=0, pad_right=
     """
     if stride < 1 or dilation < 1:
         raise ConfigError(f"stride and dilation must be >= 1, got {stride}, {dilation}")
-    if pad_left < 0 or pad_right < 0:
-        raise ConfigError("padding must be non-negative")
-    batch, in_ch, length = x.data.shape
-    out_ch, w_in, kernel = weight.data.shape
-    if w_in != in_ch:
-        raise ConfigError(f"input has {in_ch} channels but weight expects {w_in}")
-    if bias is not None and bias.data.shape != (1, out_ch, 1):
-        raise ConfigError(
-            f"bias shape {bias.data.shape} does not match (1, {out_ch}, 1)"
-        )
+    length = x.data.shape[2]
+    out_ch, in_ch, kernel = weight.data.shape
+    _check_conv(x, in_ch, out_ch, bias, (pad_left, pad_right))
     span = dilation * (kernel - 1) + 1
     padded_len = length + pad_left + pad_right
     if span > padded_len:
-        raise ShapeError(
-            f"effective kernel span {span} exceeds padded input length {padded_len}"
-        )
+        raise ShapeError(f"effective kernel span {span} exceeds padded input length {padded_len}")
     out_len = (padded_len - span) // stride + 1
 
-    if pad_left or pad_right:
-        padded = np.pad(x.data, ((0, 0), (0, 0), (pad_left, pad_right)))
-    else:
-        padded = x.data
-    s0, s1, s2 = padded.strides
-    cols = as_strided(
-        padded,
-        shape=(batch, in_ch, kernel, out_len),
-        strides=(s0, s1, s2 * dilation, s2 * stride),
-    )
-    out_data = np.einsum("oik,bikt->bot", weight.data, cols)
+    padded = _pad(x.data, pad_left, pad_right)
+    w2 = weight.data.reshape(out_ch, in_ch * kernel)
+    out_data = np.matmul(w2, _gather(padded, kernel, out_len, stride, dilation))
     if bias is not None:
         out_data += bias.data
 
@@ -245,15 +307,13 @@ def conv1d(x, weight, bias=None, *, stride=1, dilation=1, pad_left=0, pad_right=
         def backprop():
             g = out.grad
             if weight.requires_grad:
-                _accumulate(weight, np.einsum("bot,bikt->oik", g, cols))
+                cols = _gather(padded, kernel, out_len, stride, dilation)
+                dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+                _accumulate(weight, dw.reshape(weight.data.shape))
             if bias is not None and bias.requires_grad:
-                _accumulate(bias, g.sum(axis=(0, 2)).reshape(1, out_ch, 1))
+                _accumulate(bias, g.sum(axis=(0, 2), keepdims=True))
             if x.requires_grad:
-                spread = np.einsum("oik,bot->bikt", weight.data, g)
-                gp = np.zeros_like(padded)
-                for k in range(kernel):
-                    start = k * dilation
-                    gp[:, :, start : start + stride * out_len : stride] += spread[:, :, k, :]
+                gp = _scatter(np.matmul(w2.T, g), padded_len, kernel, stride, dilation)
                 _accumulate(x, gp[:, :, pad_left : pad_left + length])
 
         out._backward_fn = backprop
@@ -272,26 +332,15 @@ def conv1d_transpose(x, weight, bias=None, *, stride=1, pad=0, output_pad=0):
         raise ConfigError(f"stride must be >= 1, got {stride}")
     if not 0 <= output_pad < stride:
         raise ConfigError(f"output_pad must lie in [0, stride), got {output_pad}")
-    if pad < 0:
-        raise ConfigError("padding must be non-negative")
-    batch, in_ch, length = x.data.shape
-    w_in, out_ch, kernel = weight.data.shape
-    if w_in != in_ch:
-        raise ConfigError(f"input has {in_ch} channels but weight expects {w_in}")
-    if bias is not None and bias.data.shape != (1, out_ch, 1):
-        raise ConfigError(
-            f"bias shape {bias.data.shape} does not match (1, {out_ch}, 1)"
-        )
+    length = x.data.shape[2]
+    in_ch, out_ch, kernel = weight.data.shape
+    _check_conv(x, in_ch, out_ch, bias, (pad,))
     out_len = (length - 1) * stride - 2 * pad + kernel + output_pad
     if out_len < 1:
         raise ShapeError(f"transposed output length {out_len} is not positive")
-    full_len = (length - 1) * stride + kernel + output_pad
 
-    dtype = np.result_type(x.data, weight.data)
-    full = np.zeros((batch, out_ch, full_len), dtype=dtype)
-    spread = np.einsum("cok,bct->bokt", weight.data, x.data)
-    for k in range(kernel):
-        full[:, :, k : k + stride * (length - 1) + 1 : stride] += spread[:, :, k, :]
+    w2 = weight.data.reshape(in_ch, out_ch * kernel)
+    full = _scatter(np.matmul(w2.T, x.data), out_len + 2 * pad, kernel, stride, 1)
     out_data = full[:, :, pad : pad + out_len].copy()
     if bias is not None:
         out_data += bias.data
@@ -302,20 +351,14 @@ def conv1d_transpose(x, weight, bias=None, *, stride=1, pad=0, output_pad=0):
 
         def backprop():
             g = out.grad
-            g_full = np.zeros((batch, out_ch, full_len), dtype=g.dtype)
-            g_full[:, :, pad : pad + out_len] = g
-            s0, s1, s2 = g_full.strides
-            cols = as_strided(
-                g_full,
-                shape=(batch, out_ch, kernel, length),
-                strides=(s0, s1, s2, s2 * stride),
-            )
+            cols = _gather(_pad(g, pad, pad), kernel, length, stride, 1)
             if x.requires_grad:
-                _accumulate(x, np.einsum("cok,bokt->bct", weight.data, cols))
+                _accumulate(x, np.matmul(w2, cols))
             if weight.requires_grad:
-                _accumulate(weight, np.einsum("bct,bokt->cok", x.data, cols))
+                dw = np.matmul(x.data, cols.transpose(0, 2, 1)).sum(axis=0)
+                _accumulate(weight, dw.reshape(weight.data.shape))
             if bias is not None and bias.requires_grad:
-                _accumulate(bias, g.sum(axis=(0, 2)).reshape(1, out_ch, 1))
+                _accumulate(bias, g.sum(axis=(0, 2), keepdims=True))
 
         out._backward_fn = backprop
     return out
@@ -327,12 +370,8 @@ def conv1d_transpose(x, weight, bias=None, *, stride=1, pad=0, output_pad=0):
 
 def sigmoid(x):
     """Logistic function, evaluated without overflow on either tail."""
-    d = x.data
-    y = np.empty_like(d)
-    pos = d >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    e = np.exp(d[~pos])
-    y[~pos] = e / (1.0 + e)
+    e = np.exp(-np.abs(x.data))
+    y = np.where(x.data >= 0, 1.0, e) / (1.0 + e)
     out = _make_result(y, (x,))
     if out.requires_grad:
 
@@ -361,9 +400,7 @@ def prelu(x, slopes):
         raise ConfigError("prelu requires a per-channel slope tensor")
     channels = x.data.shape[1]
     if slopes.data.shape != (1, channels, 1):
-        raise ConfigError(
-            f"prelu slopes shape {slopes.data.shape} does not match (1, {channels}, 1)"
-        )
+        raise ConfigError(f"prelu slopes shape {slopes.data.shape} does not match (1, {channels}, 1)")
     negative = x.data < 0
     y = np.where(negative, slopes.data * x.data, x.data)
     out = _make_result(y, (x, slopes))
@@ -379,17 +416,6 @@ def prelu(x, slopes):
 
         out._backward_fn = backprop
     return out
-
-
-def activation(x, kind, prelu_slopes=None):
-    """Dispatch on kind: 'sigmoid', 'tanh', or 'prelu' (which needs slopes)."""
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "tanh":
-        return tanh(x)
-    if kind == "prelu":
-        return prelu(x, prelu_slopes)
-    raise ConfigError(f"unknown activation kind {kind!r}")
 
 
 def _require_same_shape(a, b, op):
@@ -436,21 +462,10 @@ def mul(a, b):
     return out
 
 
-def pointwise(a, b, mode):
-    """Elementwise combine: mode is 'add' or 'mul'."""
-    if mode == "add":
-        return add(a, b)
-    if mode == "mul":
-        return mul(a, b)
-    raise ConfigError(f"unknown pointwise mode {mode!r}")
-
-
 def concat_channels(a, b):
     """Concatenate along the channel axis, a first."""
     if a.data.shape[0] != b.data.shape[0] or a.data.shape[2] != b.data.shape[2]:
-        raise ShapeError(
-            f"concat_channels: batch/length mismatch {a.data.shape} vs {b.data.shape}"
-        )
+        raise ShapeError(f"concat_channels: batch/length mismatch {a.data.shape} vs {b.data.shape}")
     split = a.data.shape[1]
     out = _make_result(np.concatenate([a.data, b.data], axis=1), (a, b))
     if out.requires_grad:

@@ -204,14 +204,14 @@ def fit(
     halve_after=3,
     stop_after=10,
     clip_grad=None,
-    checkpoint_path=None,
     log_fn=None,
 ):
     """Run epochs until the schedule stops; returns (state, epoch log rows).
 
-    With checkpoint_path set, the full run state is persisted after every
-    epoch, so the run can be killed and resumed without changing a single
-    bit of the trajectory.
+    log_fn(row) runs after every epoch, once params and state hold that
+    epoch's result. Saving a checkpoint there, as ``ftnet train`` does,
+    lets the run be killed and resumed without changing a single bit of
+    the trajectory.
     """
     train_pairs = list(train_pairs)
     val_pairs = list(val_pairs)
@@ -230,10 +230,6 @@ def fit(
         rows.append(row)
         if log_fn is not None:
             log_fn(row)
-        if checkpoint_path is not None:
-            from .checkpoint import checkpoint_save
-
-            checkpoint_save(params, state, checkpoint_path)
         if action == "stop":
             break
     return state, rows

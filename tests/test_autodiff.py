@@ -5,12 +5,17 @@ shapes. The combined tolerance |analytic - numeric| <= atol + rtol*|numeric|
 keeps the check meaningful where gradients are exactly zero.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ftnet import tensor as T
 from ftnet.errors import UsageError
 
+from conv_geometry import conv1d_geometry, conv1d_transpose_geometry, operands
 from oracles import gradients_close, numeric_gradient
 
 RNG = np.random.default_rng(77)
@@ -68,6 +73,33 @@ def test_conv1d_transpose_gradients():
         return T.conv1d_transpose(xt, wt, bt, stride=2, pad=1, output_pad=1).sum()
 
     check_op(f, [x, w, b])
+
+
+def check_against_random_cotangent(op, geo):
+    """FD-check ``op`` under ``sum(out * r)`` for a random r, so every
+    output position weighs differently (``.sum()`` would hide transposed
+    or shifted taps behind equal weights)."""
+    arrays = list(operands(geo))
+    with T.no_grad():
+        out_shape = op(*[T.Tensor(a) for a in arrays], **geo["kwargs"]).shape
+    r = T.Tensor(np.random.default_rng(geo["seed"] + 1).standard_normal(out_shape))
+
+    def f(xt, wt, bt):
+        return T.mul(op(xt, wt, bt, **geo["kwargs"]), r).sum()
+
+    check_op(f, arrays)
+
+
+@settings(max_examples=30, deadline=None)
+@given(geo=conv1d_geometry())
+def test_conv1d_gradients_for_any_geometry(geo):
+    check_against_random_cotangent(T.conv1d, geo)
+
+
+@settings(max_examples=30, deadline=None)
+@given(geo=conv1d_transpose_geometry())
+def test_conv1d_transpose_gradients_for_any_geometry(geo):
+    check_against_random_cotangent(T.conv1d_transpose, geo)
 
 
 def test_sigmoid_gradients():
@@ -216,4 +248,35 @@ def test_constant_inputs_get_no_gradient():
     c = T.Tensor(np.array([4.0]))
     T.mul(x, c).sum().backward()
     assert c.grad is None
+    np.testing.assert_allclose(x.grad.ravel(), [4.0])
+
+
+def test_backward_frees_the_graph_without_the_collector():
+    # Each op's closure holds its own output, so an unreleased graph is a
+    # reference cycle that only the cyclic collector could free.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        x = T.Tensor(rand(1, 2, 8), requires_grad=True)
+        w = T.Tensor(rand(3, 2, 3), requires_grad=True)
+        hidden = T.tanh(T.conv1d(x, w, pad_left=1, pad_right=1))
+        # Tensor has no weakref slot; watch its data array, which the graph holds too.
+        probe = weakref.ref(hidden.data)
+        loss = T.mul(hidden, hidden).sum()
+        del hidden
+        loss.backward()
+        del loss
+        assert probe() is None
+        assert x.grad is not None and w.grad is not None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_second_backward_through_a_graph_is_rejected():
+    x = T.Tensor(np.array([2.0]), requires_grad=True)
+    loss = T.mul(x, x).sum()
+    loss.backward()
+    with pytest.raises(UsageError, match="already ran"):
+        loss.backward()
     np.testing.assert_allclose(x.grad.ravel(), [4.0])

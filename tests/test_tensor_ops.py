@@ -1,11 +1,17 @@
 """Forward-path checks for the tensor ops against loop-based oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ftnet import tensor as T
 from ftnet.errors import ConfigError, ShapeError, UsageError
 
+from conv_geometry import conv1d_geometry, conv1d_transpose_geometry, operands
 from oracles import conv_out_len_by_simulation, naive_conv1d, naive_conv1d_transpose
 
 RNG = np.random.default_rng(20260814)
@@ -69,6 +75,16 @@ def test_conv1d_matches_naive(in_shape, out_ch, kernel, stride, dilation, pads):
         stride=stride, dilation=dilation, pad_left=pads[0], pad_right=pads[1],
     )
     want = naive_conv1d(x, w, b, stride, dilation, pads[0], pads[1])
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(geo=conv1d_geometry())
+def test_conv1d_matches_naive_for_any_geometry(geo):
+    x, w, b = operands(geo)
+    got = T.conv1d(T.Tensor(x), T.Tensor(w), T.Tensor(b), **geo["kwargs"])
+    want = naive_conv1d(x, w, b, **geo["kwargs"])
     assert got.shape == want.shape
     np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
 
@@ -156,6 +172,16 @@ def test_conv1d_transpose_matches_naive(in_shape, out_ch, kernel, stride, pad, o
     np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
 
 
+@settings(max_examples=80, deadline=None)
+@given(geo=conv1d_transpose_geometry())
+def test_conv1d_transpose_matches_naive_for_any_geometry(geo):
+    x, w, b = operands(geo)
+    got = T.conv1d_transpose(T.Tensor(x), T.Tensor(w), T.Tensor(b), **geo["kwargs"])
+    want = naive_conv1d_transpose(x, w, b, **geo["kwargs"])
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
+
+
 def test_conv1d_transpose_known_values():
     # [1,2] through kernel [1,1] at stride 2 spreads each sample over two taps.
     x = T.Tensor(np.array([[[1.0, 2.0]]]))
@@ -213,6 +239,32 @@ def test_adjoint_identity():
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
+def test_importing_tensor_pins_openblas_to_one_thread():
+    # A fresh interpreter, so that only the OpenBLAS numpy loads is mapped.
+    probe = """
+import ctypes
+import ftnet.tensor
+with open("/proc/self/maps") as maps:
+    paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+for lib in map(ctypes.CDLL, paths):
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        if hasattr(lib, name):
+            print(getattr(lib, name)())
+            break
+"""
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to find OpenBLAS in")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    counts = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    if not counts:
+        pytest.skip("numpy is not linked against a known OpenBLAS")
+    assert counts == ["1"] * len(counts)
+
+
 # ---------------------------------------------------------------------------
 # activations
 
@@ -248,13 +300,6 @@ def test_prelu_slope_shape_checked():
         T.prelu(T.Tensor(np.zeros((1, 3, 4))), T.Tensor(np.zeros((1, 2, 1))))
 
 
-def test_activation_dispatch():
-    x = T.Tensor(np.array([-1.0, 1.0]))
-    np.testing.assert_allclose(T.activation(x, "tanh").data, np.tanh(x.data))
-    with pytest.raises(ConfigError):
-        T.activation(x, "relu")
-
-
 # ---------------------------------------------------------------------------
 # pointwise, concat, loss
 
@@ -266,15 +311,6 @@ def test_pointwise_shapes_must_match():
         T.add(a, b)
     with pytest.raises(ShapeError):
         T.mul(a, b)
-
-
-def test_pointwise_dispatch():
-    a = T.Tensor(np.array([2.0, 3.0]))
-    b = T.Tensor(np.array([4.0, 5.0]))
-    np.testing.assert_array_equal(T.pointwise(a, b, "add").data.ravel(), [6.0, 8.0])
-    np.testing.assert_array_equal(T.pointwise(a, b, "mul").data.ravel(), [8.0, 15.0])
-    with pytest.raises(ConfigError):
-        T.pointwise(a, b, "div")
 
 
 def test_concat_channels_order_and_shape():

@@ -321,7 +321,10 @@ def test_resume_reproduces_uninterrupted_trajectory(tmp_path):
     ckpt = tmp_path / "mid.ckpt"
     params_b = build_model(cfg)
     state_b = TrainState(rng_state=33)
-    _, rows_b1 = fit(params_b, state_b, pairs, pairs, max_epochs=3, checkpoint_path=ckpt)
+    _, rows_b1 = fit(
+        params_b, state_b, pairs, pairs, max_epochs=3,
+        log_fn=lambda row: checkpoint_save(params_b, state_b, ckpt),
+    )
     resumed_params, resumed_state = checkpoint_load(ckpt)
     _, rows_b2 = fit(resumed_params, resumed_state, pairs, pairs, max_epochs=6)
 
