@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, UsageError
+from .errors import DegenerateSignalError, FormatError, UsageError
 
 __all__ = ["FrameBatch", "read_wav", "write_wav", "frame_signal", "overlap_add"]
 
@@ -41,13 +41,16 @@ def write_wav(path, signal, sample_rate=16000):
     """Store a float clip as mono 16-bit PCM, clamping to [-1, 1].
 
     Quantization rounds half away from zero so a later read returns values
-    within one step (1/32768) of the clamped input.
+    within one step (1/32768) of the clamped input. A clip holding NaN or
+    infinity raises DegenerateSignalError before the file is opened.
     """
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim != 1:
         raise UsageError(f"expected a 1-D clip, got shape {signal.shape}")
     if sample_rate <= 0:
         raise UsageError(f"sample rate must be positive, got {sample_rate}")
+    if not np.isfinite(signal).all():
+        raise DegenerateSignalError(f"{path}: clip samples are not finite (NaN or infinity)")
     clamped = np.clip(signal, -1.0, 1.0)
     scaled = clamped * PCM_SCALE
     ints = np.trunc(scaled + np.copysign(0.5, scaled))

@@ -13,9 +13,12 @@ Layout, all little-endian:
 The header JSON is serialized with sorted keys and no whitespace and the
 container carries no timestamps, so saving the same state twice produces
 byte-identical files and a save -> load -> save round trip is exact.
+Saving writes ``<path>.tmp`` beside the target, syncs it and renames it
+over the target, so a crash mid-save leaves the previous checkpoint whole.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -39,7 +42,7 @@ def _param_payload(p):
 
 
 def checkpoint_save(params, state, path):
-    """Write params + state to path; same inputs always give same bytes."""
+    """Write params + state to path atomically; same inputs give same bytes."""
     index = []
     chunks = []
     payload_bytes = 0
@@ -55,13 +58,22 @@ def checkpoint_save(params, state, path):
         "payload_bytes": payload_bytes,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for chunk in chunks:
-            fh.write(chunk)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def checkpoint_load(path):

@@ -25,4 +25,4 @@ class FormatError(FTNetError):
 
 
 class DegenerateSignalError(FTNetError):
-    """Signal with no usable energy where a finite SNR is required."""
+    """Signal with no usable energy, or a non-finite loss or sample."""

@@ -10,8 +10,11 @@ one thread for the process (see ``_one_blas_thread``).
 
 Gradients are recorded with closures on the output tensor (one closure per
 op) and propagated by a topological sweep in ``Tensor.backward``, which
-consumes the graph as it goes: a graph is backpropagated once. Gradients
-accumulate additively, so reusing a tensor in several places just works.
+consumes the graph as it goes: a graph is backpropagated once, and each
+node, with its data and gradient, is released as soon as the sweep has
+passed it. Convolution closures keep their input tensor, not a padded copy
+of it. Gradients accumulate additively, so reusing a tensor in several
+places just works.
 """
 
 import ctypes
@@ -107,13 +110,16 @@ class Tensor:
         """Populate ``grad`` on every requires_grad tensor reachable from here.
 
         Only defined for scalar (single-element) results. The sweep consumes
-        the graph, so a second backward() through it raises UsageError.
+        the graph, so a second backward() through it raises UsageError. Each
+        node is released once the sweep has passed it: unless the caller
+        holds it, its data and gradient are freed before backward() returns.
         """
         if self.data.size != 1:
             raise UsageError(f"backward() needs a scalar loss, got shape {self.shape}")
         order = _topo_order(self)
         self.grad = np.ones_like(self.data)
-        for node in order:
+        while order:
+            node = order.pop()
             if node._backward_fn is not None:
                 node._backward_fn()
                 # Each closure holds its own output: drop it to break the cycle.
@@ -149,7 +155,7 @@ def _consumed():
 
 
 def _topo_order(root):
-    # Iterative DFS; returns nodes in reverse topological order.
+    # Iterative DFS; returns nodes in topological order, root last.
     order, visited, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -163,7 +169,6 @@ def _topo_order(root):
         for parent in node._parents:
             if id(parent) not in visited:
                 stack.append((parent, False))
-    order.reverse()
     return order
 
 
@@ -171,8 +176,9 @@ def _accumulate(tensor, grad):
     if not tensor.requires_grad:
         return
     if tensor.grad is None:
-        tensor.grad = np.zeros_like(tensor.data)
-    tensor.grad += grad
+        tensor.grad = np.array(np.broadcast_to(grad, tensor.data.shape), dtype=tensor.data.dtype)
+    else:
+        tensor.grad += grad
 
 
 def _make_result(data, parents):
@@ -210,7 +216,7 @@ class Parameter:
 #
 # A transposed convolution is the adjoint of a convolution, so both come from
 # one im2col gather and its adjoint scatter. The gathered copy is K times its
-# input, so backward closures keep the padded input and gather again.
+# input, so backward closures keep the input tensor, pad it and gather again.
 
 
 def _one_blas_thread():
@@ -261,9 +267,12 @@ def _scatter(cols, length, kernel, stride, dilation):
 
 
 def _pad(a, left, right):
-    if left or right:
-        return np.pad(a, ((0, 0), (0, 0), (left, right)))
-    return a
+    if not (left or right):
+        return a
+    batch, channels, length = a.shape
+    out = np.zeros((batch, channels, left + length + right), dtype=a.dtype)
+    out[:, :, left : left + length] = a
+    return out
 
 
 def _check_conv(x, w_in, out_ch, bias, pads):
@@ -307,6 +316,7 @@ def conv1d(x, weight, bias=None, *, stride=1, dilation=1, pad_left=0, pad_right=
         def backprop():
             g = out.grad
             if weight.requires_grad:
+                padded = _pad(x.data, pad_left, pad_right)
                 cols = _gather(padded, kernel, out_len, stride, dilation)
                 dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
                 _accumulate(weight, dw.reshape(weight.data.shape))

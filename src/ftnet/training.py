@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .audio import frame_signal
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, DegenerateSignalError, UsageError
 from .model import multistage_forward
 from .tensor import Tensor, adam_step, mae_loss, no_grad
 
@@ -108,6 +108,12 @@ def _stacked_frames(pairs, config):
     return Tensor(noisy), Tensor(clean)
 
 
+def _require_finite(value, what):
+    if not math.isfinite(value):
+        raise DegenerateSignalError(f"{what} is not finite ({value})")
+    return value
+
+
 def _clip_gradients(params, max_norm):
     total = 0.0
     grads = []
@@ -127,7 +133,9 @@ def train_epoch(params, state, train_pairs, *, batch_size=2, clip_grad=None):
 
     Each minibatch frames its utterances, runs the configured number of
     stages, takes MAE against the clean frames on the final output only,
-    and applies one Adam step at the state's current learning rate.
+    and applies one Adam step at the state's current learning rate. A
+    non-finite minibatch loss raises DegenerateSignalError before its
+    backward pass, so no weight or Adam moment sees it.
     """
     pairs = list(train_pairs)
     if not pairs:
@@ -142,16 +150,19 @@ def train_epoch(params, state, train_pairs, *, batch_size=2, clip_grad=None):
         noisy, clean = _stacked_frames(batch, params.config)
         final, _ = multistage_forward(params, noisy)
         loss = mae_loss(final, clean)
+        losses.append(_require_finite(loss.item(), "minibatch training loss"))
         loss.backward()
         if clip_grad is not None:
             _clip_gradients(params, clip_grad)
         adam_step(params.values(), lr=state.lr)
-        losses.append(loss.item())
     return float(np.mean(losses))
 
 
 def validate(params, val_pairs):
-    """Mean of per-utterance MAEs, computed without touching any parameter."""
+    """Mean of per-utterance MAEs, computed without touching any parameter.
+
+    A non-finite mean raises DegenerateSignalError.
+    """
     pairs = list(val_pairs)
     if not pairs:
         raise UsageError("validate needs a non-empty dataset")
@@ -161,7 +172,7 @@ def validate(params, val_pairs):
             noisy, clean = _stacked_frames([pair], params.config)
             final, _ = multistage_forward(params, noisy)
             losses.append(mae_loss(final, clean).item())
-    return float(np.mean(losses))
+    return _require_finite(float(np.mean(losses)), "validation loss")
 
 
 def schedule_update(state, new_val_loss, *, max_epochs=50, halve_after=3, stop_after=10):
@@ -170,8 +181,10 @@ def schedule_update(state, new_val_loss, *, max_epochs=50, halve_after=3, stop_a
     An increase event is new_val_loss strictly above the previous epoch's.
     halve_after consecutive events halve the learning rate and reset the
     streak; stop_after cumulative events, or reaching max_epochs, stop the
-    run (stop wins over halve when both fire).
+    run (stop wins over halve when both fire). A non-finite loss raises
+    DegenerateSignalError before the state changes.
     """
+    _require_finite(new_val_loss, "validation loss")
     previous = state.val_history[-1] if state.val_history else None
     if previous is not None and new_val_loss > previous:
         state.consec_increase += 1

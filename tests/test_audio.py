@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftnet import audio
-from ftnet.errors import FormatError, UsageError
+from ftnet.errors import DegenerateSignalError, FormatError, UsageError
 
 RNG = np.random.default_rng(99)
 
@@ -50,6 +50,14 @@ def test_out_of_range_values_clamp(tmp_path):
     audio.write_wav(path, np.array([2.0, -2.0, 1.0]))
     back, _ = audio.read_wav(path)
     np.testing.assert_array_equal(back * 32768, [32767.0, -32768.0, 32767.0])
+
+
+def test_write_rejects_non_finite_samples_before_creating_the_file(tmp_path):
+    for bad in (np.nan, np.inf, -np.inf):
+        path = tmp_path / "bad.wav"
+        with pytest.raises(DegenerateSignalError, match="not finite"):
+            audio.write_wav(path, np.array([0.0, bad, 0.5]))
+        assert not path.exists()
 
 
 def test_custom_sample_rate_roundtrips(tmp_path):

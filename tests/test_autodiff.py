@@ -6,6 +6,7 @@ keeps the check meaningful where gradients are exactly zero.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 
 from ftnet import tensor as T
 from ftnet.errors import UsageError
+from ftnet.model import ModelConfig, build_model, multistage_forward
 
 from conv_geometry import conv1d_geometry, conv1d_transpose_geometry, operands
 from oracles import gradients_close, numeric_gradient
@@ -280,3 +282,62 @@ def test_second_backward_through_a_graph_is_rejected():
     with pytest.raises(UsageError, match="already ran"):
         loss.backward()
     np.testing.assert_allclose(x.grad.ravel(), [4.0])
+
+
+def test_backward_releases_each_node_once_the_sweep_has_passed_it():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        x = T.Tensor(rand(1, 2, 8), requires_grad=True)
+        inner = T.tanh(x)
+        outer = T.tanh(inner)
+        probe = weakref.ref(outer.data)
+        loss = outer.sum()
+        del outer
+        released = []
+        inner_backward = inner._backward_fn
+
+        def spy():
+            # The sweep reaches the leaf-side node only after the root-side one.
+            released.append(probe() is None)
+            inner_backward()
+
+        inner._backward_fn = spy
+        del inner
+        loss.backward()
+        assert released == [True]
+        assert x.grad is not None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_conv1d_graph_keeps_no_padded_copy_of_its_input():
+    x = T.Tensor(rand(2, 16, 1024), requires_grad=True)
+    w = T.Tensor(rand(16, 16, 5), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = T.conv1d(x, w, pad_left=2, pad_right=2)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == x.shape
+    assert held <= 1.1 * out.data.nbytes
+
+
+def test_backward_peak_stays_near_the_memory_of_the_forward_graph():
+    config = ModelConfig(frame_len=512, encoder_channels=(16, 16, 32), glu_dilations=(1, 2),
+                         glu_bottleneck=16, stages=3)
+    params = build_model(config)
+    noisy = T.Tensor(0.1 * rand(4, 1, 512))
+    clean = T.Tensor(0.1 * rand(4, 1, 512))
+    tracemalloc.start()
+    try:
+        loss = T.mae_loss(multistage_forward(params, noisy)[0], clean)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * held

@@ -175,14 +175,18 @@ def test_enhance_roundtrip_and_stage_dumps(corpus, capsys):
     assert sample.shape == (2, 32)  # state channels x frame_len / 2
 
 
-def test_enhance_zero_weights_give_silence(corpus, capsys, tmp_path):
+def constant_weight_checkpoint(path, value):
     config = ModelConfig(frame_len=64, hop=32, kernel=3, encoder_channels=(2, 2, 4),
                          glu_dilations=(1, 2), glu_bottleneck=2, stages=2, seed=3)
     params = build_model(config)
     for p in params.values():
-        p.tensor.data[:] = 0.0
-    ckpt = tmp_path / "zero.ckpt"
-    checkpoint_save(params, TrainState(), ckpt)
+        p.tensor.data[:] = value
+    checkpoint_save(params, TrainState(), path)
+    return path
+
+
+def test_enhance_zero_weights_give_silence(corpus, capsys, tmp_path):
+    ckpt = constant_weight_checkpoint(tmp_path / "zero.ckpt", 0.0)
     src = corpus / "corpus" / "clean" / "clean_001.wav"
     out = tmp_path / "silence.wav"
     assert cli.main(["enhance", "--checkpoint", str(ckpt), "--in", str(src),
@@ -190,6 +194,16 @@ def test_enhance_zero_weights_give_silence(corpus, capsys, tmp_path):
     capsys.readouterr()
     clip, _ = read_wav(out)
     np.testing.assert_array_equal(clip, 0.0)
+
+
+def test_enhance_nan_weights_exit_degenerate_code_without_output(corpus, capsys, tmp_path):
+    ckpt = constant_weight_checkpoint(tmp_path / "nan.ckpt", np.nan)
+    src = corpus / "corpus" / "clean" / "clean_001.wav"
+    out = tmp_path / "nan.wav"
+    assert cli.main(["enhance", "--checkpoint", str(ckpt), "--in", str(src),
+                     "--out", str(out)]) == 6
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_json_reports_reference_numbers(capsys):

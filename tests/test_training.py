@@ -1,13 +1,14 @@
 """Harness behavior: epochs, scheduling, persistence, resume trajectories."""
 
+import errno
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ftnet import mixer, training
+from ftnet import checkpoint, mixer, training
 from ftnet.checkpoint import checkpoint_load, checkpoint_save
-from ftnet.errors import FormatError, UsageError
+from ftnet.errors import DegenerateSignalError, FormatError, UsageError
 from ftnet.model import ModelConfig, build_model
 from ftnet.training import TrainState, fit, schedule_update, train_epoch, validate
 
@@ -112,6 +113,18 @@ def test_empty_dataset_rejected():
         validate(params, [])
 
 
+def test_non_finite_minibatch_loss_stops_before_any_update():
+    params = build_model(micro_config())
+    before = snapshot(params)
+    pair = SimpleNamespace(noisy=np.full(64, np.nan), clean=np.zeros(64))
+    with pytest.raises(DegenerateSignalError, match="not finite"):
+        train_epoch(params, TrainState(), [pair])
+    assert_same_weights(params, before)
+    for p in params.values():
+        assert p.tensor.grad is None and p.step_count == 0
+        assert not p.m.any() and not p.v.any()
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -144,6 +157,14 @@ def test_validate_zero_on_perfect_targets():
     assert validate(params, [pair]) == 0.0
 
 
+def test_validate_rejects_a_non_finite_mean():
+    params = build_model(micro_config())
+    good = SimpleNamespace(noisy=np.zeros(64), clean=np.zeros(64))
+    bad = SimpleNamespace(noisy=np.zeros(64), clean=np.full(64, np.inf))
+    with pytest.raises(DegenerateSignalError, match="not finite"):
+        validate(params, [good, bad])
+
+
 # ---------------------------------------------------------------------------
 # schedule_update
 
@@ -174,6 +195,15 @@ def test_streak_resets_on_any_non_increase():
     assert actions[-1] == "halve_lr"
     assert "halve_lr" not in actions[:-1]
     assert state.total_increase_events == 5
+
+
+def test_non_finite_validation_loss_is_rejected_before_any_update():
+    for bad in (np.nan, np.inf):
+        state, _ = drive([0.5])
+        with pytest.raises(DegenerateSignalError, match="not finite"):
+            schedule_update(state, bad)
+        assert state.val_history == [0.5] and state.epoch == 1
+        assert state.consec_increase == 0 and state.lr == 2e-4
 
 
 def test_equal_loss_is_not_an_increase():
@@ -304,6 +334,48 @@ def test_checkpoint_rejects_truncation(tmp_path):
         path.write_bytes(raw[:cut])
         with pytest.raises(FormatError):
             checkpoint_load(path)
+
+
+class DiskFullAfter:
+    """File wrapper whose writes fail with ENOSPC once ``budget`` bytes are written."""
+
+    def __init__(self, fh, budget):
+        self.fh = fh
+        self.budget = budget
+
+    def write(self, data):
+        if len(data) > self.budget:
+            self.fh.write(data[: self.budget])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(data)
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+
+def test_failed_save_leaves_the_previous_checkpoint_intact(tmp_path, monkeypatch):
+    params, state, pairs = trained_params_state(epochs=1)
+    path = tmp_path / "run.ckpt"
+    checkpoint_save(params, state, path)
+    previous = path.read_bytes()
+    fit(params, state, pairs, pairs, max_epochs=2)
+    monkeypatch.setattr(
+        checkpoint, "open",
+        lambda file, mode: DiskFullAfter(open(file, mode), len(previous) // 2),
+        raising=False,
+    )
+    with pytest.raises(OSError, match="No space"):
+        checkpoint_save(params, state, path)
+    assert path.read_bytes() == previous
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 # ---------------------------------------------------------------------------
