@@ -97,10 +97,11 @@ def frame_signal(clip, frame_len=2048, hop=256):
     padded_len = (n_frames - 1) * hop + frame_len
     padded = np.zeros(padded_len)
     padded[:n] = clip
-    frames = np.empty((n_frames, 1, frame_len))
-    for i in range(n_frames):
-        frames[i, 0, :] = padded[i * hop : i * hop + frame_len]
-    return FrameBatch(frames=frames, hop=hop, original_length=n)
+    # Frame i is padded[i*hop : i*hop + frame_len]: one strided view, one copy.
+    step = padded.itemsize
+    windows = np.ndarray((n_frames, 1, frame_len), padded.dtype, padded,
+                         strides=(hop * step, 0, step))
+    return FrameBatch(frames=windows.copy(), hop=hop, original_length=n)
 
 
 def overlap_add(batch):
@@ -114,10 +115,14 @@ def overlap_add(batch):
     if frames.ndim != 3 or frames.shape[1] != 1:
         raise UsageError(f"expected frames shaped (n, 1, L), got {frames.shape}")
     n_frames, _, frame_len = frames.shape
-    padded_len = (n_frames - 1) * hop + frame_len
-    acc = np.zeros(padded_len)
-    count = np.zeros(padded_len)
-    for i in range(n_frames):
-        acc[i * hop : i * hop + frame_len] += frames[i, 0, :]
-        count[i * hop : i * hop + frame_len] += 1.0
-    return (acc / count)[:n]
+    n_chunks = -(-frame_len // hop)
+    acc = np.zeros((n_frames - 1 + n_chunks, hop))
+    count = np.zeros_like(acc)
+    # Add every frame's j-th hop-long chunk at once, last chunk first, so
+    # each sample sums its frames in frame order: the same float result
+    # as adding the frames one by one.
+    for j in reversed(range(n_chunks)):
+        width = min(hop, frame_len - j * hop)
+        acc[j : j + n_frames, :width] += frames[:, 0, j * hop : j * hop + width]
+        count[j : j + n_frames, :width] += 1.0
+    return acc.ravel()[:n] / count.ravel()[:n]

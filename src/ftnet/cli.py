@@ -278,16 +278,17 @@ def cmd_train(args):
     return 0
 
 
-def _enhance_frames(params, frames, stages, collect_hidden, batch=32):
-    """Run all frames through the network; returns per-stage frame arrays
-    plus per-stage hidden maps (stage-major lists; no maps unless
-    collect_hidden)."""
+def _enhance_frames(params, frames, stages, collect_hidden):
+    """Run all frames through the network, ``block_frames`` at a time;
+    returns per-stage frame arrays plus per-stage hidden maps (stage-major
+    lists; no maps unless collect_hidden)."""
     n = frames.shape[0]
+    block = params.config.block_frames
     stage_frames = [[] for _ in range(stages)]
     stage_hidden = [[] for _ in range(stages)]
     with T.no_grad():
-        for lo in range(0, n, batch):
-            x = T.Tensor(frames[lo : lo + batch])
+        for lo in range(0, n, block):
+            x = T.Tensor(frames[lo : lo + block])
             result = multistage_forward(
                 params, x, stages=stages, collect_hidden=collect_hidden
             )

@@ -53,6 +53,7 @@ class NoiseBank:
     samples: np.ndarray
     boundaries: tuple
     seed: int = 0
+    sample_rate: int = 16000
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -63,7 +64,7 @@ class NoiseBank:
         return self.samples.size
 
     @classmethod
-    def from_clips(cls, clips, seed=0):
+    def from_clips(cls, clips, seed=0, sample_rate=16000):
         clips = [np.asarray(c, dtype=np.float64) for c in clips]
         if not clips or any(c.size == 0 for c in clips):
             raise UsageError("noise bank needs at least one non-empty clip")
@@ -71,17 +72,25 @@ class NoiseBank:
         for c in clips:
             starts.append(offset)
             offset += c.size
-        return cls(np.concatenate(clips), tuple(starts), seed)
+        return cls(np.concatenate(clips), tuple(starts), seed, sample_rate)
 
     @classmethod
     def from_dir(cls, noise_dir, seed=0):
-        """Concatenate every .wav in the directory, sorted by file name."""
+        """Concatenate every .wav in the directory, sorted by file name.
+
+        The bank takes the files' sample rate; files that disagree on it
+        raise FormatError.
+        """
         import pathlib
 
         paths = sorted(pathlib.Path(noise_dir).glob("*.wav"))
         if not paths:
             raise UsageError(f"no .wav files under {noise_dir}")
-        return cls.from_clips([read_wav(p)[0] for p in paths], seed)
+        clips, rates = zip(*(read_wav(p) for p in paths))
+        if len(set(rates)) > 1:
+            found = ", ".join(f"{p.name} {r} Hz" for p, r in zip(paths, rates))
+            raise FormatError(f"noise files under {noise_dir} differ in sample rate: {found}")
+        return cls.from_clips(clips, seed, rates[0])
 
     def segment(self, start, length):
         if not 0 <= start <= len(self) - length:
@@ -293,7 +302,8 @@ def build_dataset(manifest, bank, seed=None, *, clean_loader=None, target_len=DE
     Record i draws from its own stream seeded (seed, i): first the crop
     start, then the noise cut point, so adding records never shifts
     earlier draws. Records that already carry offsets use them verbatim;
-    the yielded record always has both filled in.
+    the yielded record always has both filled in. A clean clip whose
+    sample rate differs from the bank's raises FormatError.
     """
     if seed is None:
         seed = bank.seed
@@ -301,6 +311,10 @@ def build_dataset(manifest, bank, seed=None, *, clean_loader=None, target_len=DE
     for idx, record in enumerate(manifest):
         rng = np.random.default_rng((seed, idx))
         clip, rate = load(record.clean_path)
+        if rate != bank.sample_rate:
+            raise FormatError(
+                f"{record.clean_path}: {rate} Hz clip, but the noise is {bank.sample_rate} Hz"
+            )
         clip = np.asarray(clip, dtype=np.float64)
         if clip.size == 0:
             raise DegenerateSignalError(f"{record.clean_path}: empty clip")

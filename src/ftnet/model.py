@@ -87,6 +87,18 @@ class ModelConfig:
     def bottleneck_len(self):
         return self.frame_len >> (len(self.encoder_channels) - 1)
 
+    @property
+    def block_frames(self):
+        """Frames per forward pass in enhance, validation and training.
+
+        The largest im2col copy, the GRU convs' C0*K*frame_len/2 float64
+        values per frame, stays near an L2 cache (3 MiB): 2 frames at full
+        size, 8 at desk scale. Memory is then bounded by one block, not by
+        the clip or minibatch.
+        """
+        per_frame = 8 * self.encoder_channels[0] * self.kernel * (self.frame_len // 2)
+        return max(1, (3 << 20) // per_frame)
+
     def to_dict(self):
         return {
             "frame_len": self.frame_len,

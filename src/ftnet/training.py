@@ -18,7 +18,7 @@ import numpy as np
 from .audio import frame_signal
 from .errors import ConfigError, DegenerateSignalError, UsageError
 from .model import multistage_forward
-from .tensor import Tensor, adam_step, mae_loss, no_grad
+from .tensor import Tensor, adam_step, mae_loss, mul, no_grad
 
 __all__ = [
     "TrainState",
@@ -105,7 +105,21 @@ def _stacked_frames(pairs, config):
     clean = np.concatenate(
         [frame_signal(p.clean, config.frame_len, config.hop).frames for p in pairs]
     )
-    return Tensor(noisy), Tensor(clean)
+    return noisy, clean
+
+
+def _block_losses(params, noisy, clean):
+    """Final-stage MAE of each ``block_frames`` block of the frames.
+
+    Each block's MAE is weighted by its share of the frames, so the block
+    losses sum to the MAE over all frames, and so do their gradients.
+    """
+    n = len(noisy)
+    size = params.config.block_frames
+    for lo in range(0, n, size):
+        final, _ = multistage_forward(params, Tensor(noisy[lo : lo + size]))
+        share = Tensor(len(final.data) / n)
+        yield mul(mae_loss(final, Tensor(clean[lo : lo + size])), share)
 
 
 def _require_finite(value, what):
@@ -133,9 +147,12 @@ def train_epoch(params, state, train_pairs, *, batch_size=2, clip_grad=None):
 
     Each minibatch frames its utterances, runs the configured number of
     stages, takes MAE against the clean frames on the final output only,
-    and applies one Adam step at the state's current learning rate. A
-    non-finite minibatch loss raises DegenerateSignalError before its
-    backward pass, so no weight or Adam moment sees it.
+    and applies one Adam step at the state's current learning rate. The
+    frames run in ``block_frames`` blocks, each backpropagated before the
+    next is formed, so memory is bounded by one block's graph. A
+    non-finite block loss raises DegenerateSignalError before its backward
+    pass, after clearing the gradients of the blocks before it, so no
+    weight, gradient or Adam moment sees it.
     """
     pairs = list(train_pairs)
     if not pairs:
@@ -147,11 +164,15 @@ def train_epoch(params, state, train_pairs, *, batch_size=2, clip_grad=None):
     losses = []
     for lo in range(0, len(order), batch_size):
         batch = [pairs[i] for i in order[lo : lo + batch_size]]
-        noisy, clean = _stacked_frames(batch, params.config)
-        final, _ = multistage_forward(params, noisy)
-        loss = mae_loss(final, clean)
-        losses.append(_require_finite(loss.item(), "minibatch training loss"))
-        loss.backward()
+        total = 0.0
+        for loss in _block_losses(params, *_stacked_frames(batch, params.config)):
+            try:
+                total += _require_finite(loss.item(), "minibatch training loss")
+            except DegenerateSignalError:
+                params.zero_grad()
+                raise
+            loss.backward()
+        losses.append(total)
         if clip_grad is not None:
             _clip_gradients(params, clip_grad)
         adam_step(params.values(), lr=state.lr)
@@ -161,7 +182,8 @@ def train_epoch(params, state, train_pairs, *, batch_size=2, clip_grad=None):
 def validate(params, val_pairs):
     """Mean of per-utterance MAEs, computed without touching any parameter.
 
-    A non-finite mean raises DegenerateSignalError.
+    Each utterance runs in ``block_frames`` blocks. A non-finite mean
+    raises DegenerateSignalError.
     """
     pairs = list(val_pairs)
     if not pairs:
@@ -169,9 +191,8 @@ def validate(params, val_pairs):
     losses = []
     with no_grad():
         for pair in pairs:
-            noisy, clean = _stacked_frames([pair], params.config)
-            final, _ = multistage_forward(params, noisy)
-            losses.append(mae_loss(final, clean).item())
+            blocks = _block_losses(params, *_stacked_frames([pair], params.config))
+            losses.append(sum(loss.item() for loss in blocks))
     return _require_finite(float(np.mean(losses)), "validation loss")
 
 

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftnet import cli
+from ftnet import tensor as T
 from ftnet.audio import read_wav, write_wav
 from ftnet.checkpoint import checkpoint_save
 from ftnet.mixer import MixManifest
-from ftnet.model import ModelConfig, build_model
+from ftnet.model import ModelConfig, build_model, multistage_forward
 from ftnet.training import TrainState
 
 MICRO_CONFIG = """\
@@ -185,6 +188,29 @@ def constant_weight_checkpoint(path, value):
     return path
 
 
+# Long frames on a small network, so that block_frames is 2.
+BLOCKY = build_model(ModelConfig(frame_len=2048, kernel=11, encoder_channels=(16, 4),
+                                 glu_dilations=(1,), glu_bottleneck=4, stages=2, seed=4))
+
+
+@settings(max_examples=12)
+@given(n_frames=st.integers(min_value=1, max_value=4 * BLOCKY.config.block_frames - 1),
+       collect_hidden=st.booleans())
+def test_enhance_in_blocks_matches_one_whole_batch_pass(n_frames, collect_hidden):
+    assert BLOCKY.config.block_frames == 2
+    frames = 0.1 * np.random.default_rng(n_frames).standard_normal((n_frames, 1, 2048))
+    per_stage, hiddens = cli._enhance_frames(BLOCKY, frames, 2, collect_hidden)
+    with T.no_grad():
+        _, want, want_hidden = multistage_forward(BLOCKY, T.Tensor(frames), collect_hidden=True)
+    for got, ref in zip(per_stage, want, strict=True):
+        np.testing.assert_allclose(got, ref.data, rtol=1e-12)
+    if collect_hidden:
+        for got, ref in zip(hiddens, want_hidden, strict=True):
+            np.testing.assert_allclose(got, ref.data, rtol=1e-12)
+    else:
+        assert hiddens == []
+
+
 def test_enhance_zero_weights_give_silence(corpus, capsys, tmp_path):
     ckpt = constant_weight_checkpoint(tmp_path / "zero.ckpt", 0.0)
     src = corpus / "corpus" / "clean" / "clean_001.wav"
@@ -322,3 +348,17 @@ def test_degenerate_clean_exits_degenerate_code(tmp_path, capsys):
                      "--out-dir", str(tmp_path / "out"), "--target-seconds", "0.1"])
     assert code == 6
     capsys.readouterr()
+
+
+def test_clean_clip_at_another_rate_than_the_noise_exits_format_code(tmp_path, capsys):
+    clean = tmp_path / "tone.wav"
+    write_wav(clean, np.full(800, 0.1), sample_rate=8000)
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"{clean.name}\t0\ttrain\n")
+    noise_dir = tmp_path / "noise"
+    noise_dir.mkdir()
+    write_wav(noise_dir / "n.wav", np.full(4000, 0.1))
+    code = cli.main(["mix", "--manifest", str(manifest), "--noise-dir", str(noise_dir),
+                     "--out-dir", str(tmp_path / "out"), "--target-seconds", "0.1"])
+    assert code == 5
+    assert "8000 Hz" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from ftnet import mixer
+from ftnet import audio, mixer
 from ftnet.errors import DegenerateSignalError, FormatError, UsageError
 
 RNG = np.random.default_rng(31337)
@@ -305,6 +305,28 @@ def test_build_dataset_records_are_independent_streams():
     solo_manifest = mixer.MixManifest(manifest.records[:1])
     solo = list(mixer.build_dataset(solo_manifest, bank, seed=5, clean_loader=loader, target_len=target))
     np.testing.assert_array_equal(full[0].noisy, solo[0].noisy)
+
+
+def test_build_dataset_rejects_a_clean_clip_at_another_rate():
+    manifest, bank, loader, target = make_fixture()
+    at_8k = lambda path: (loader(path)[0], 8000)
+    with pytest.raises(FormatError, match="8000 Hz"):
+        list(mixer.build_dataset(manifest, bank, seed=0, clean_loader=at_8k, target_len=target))
+
+
+def test_noise_bank_from_dir_keeps_the_files_sample_rate(tmp_path):
+    for name in ("a.wav", "b.wav"):
+        audio.write_wav(tmp_path / name, np.full(400, 0.1), sample_rate=8000)
+    bank = mixer.NoiseBank.from_dir(tmp_path)
+    assert bank.sample_rate == 8000
+    assert len(bank) == 800
+
+
+def test_noise_bank_from_dir_rejects_files_at_different_rates(tmp_path):
+    audio.write_wav(tmp_path / "a.wav", np.full(400, 0.1), sample_rate=16000)
+    audio.write_wav(tmp_path / "b.wav", np.full(400, 0.1), sample_rate=8000)
+    with pytest.raises(FormatError, match="sample rate"):
+        mixer.NoiseBank.from_dir(tmp_path)
 
 
 def test_build_dataset_empty_manifest_yields_nothing():

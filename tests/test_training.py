@@ -1,15 +1,18 @@
 """Harness behavior: epochs, scheduling, persistence, resume trajectories."""
 
 import errno
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ftnet import checkpoint, mixer, training
+from ftnet.audio import frame_signal
 from ftnet.checkpoint import checkpoint_load, checkpoint_save
 from ftnet.errors import DegenerateSignalError, FormatError, UsageError
-from ftnet.model import ModelConfig, build_model
+from ftnet.model import ModelConfig, build_model, multistage_forward
+from ftnet.tensor import Tensor, mae_loss
 from ftnet.training import TrainState, fit, schedule_update, train_epoch, validate
 
 
@@ -26,6 +29,17 @@ def micro_config(**over):
     )
     base.update(over)
     return ModelConfig(**base)
+
+
+def blocky_config():
+    """Small network on long frames, so that block_frames is 2."""
+    return micro_config(frame_len=2048, hop=1024, kernel=11, encoder_channels=(16, 4),
+                        glu_bottleneck=4)
+
+
+def blocky_pair(n_frames, rng):
+    n = 2048 + 1024 * (n_frames - 1)
+    return SimpleNamespace(noisy=0.1 * rng.standard_normal(n), clean=0.1 * rng.standard_normal(n))
 
 
 def micro_pairs(n=4, length=256, seed=0):
@@ -123,6 +137,59 @@ def test_non_finite_minibatch_loss_stops_before_any_update():
     for p in params.values():
         assert p.tensor.grad is None and p.step_count == 0
         assert not p.m.any() and not p.v.any()
+
+
+def test_non_finite_loss_in_a_later_block_leaves_gradients_weights_and_moments():
+    params = build_model(blocky_config())
+    before = snapshot(params)
+    pair = blocky_pair(4, np.random.default_rng(0))
+    pair.noisy[-100:] = np.nan  # only in frame 4, so only in the second block
+    with pytest.raises(DegenerateSignalError, match="not finite"):
+        train_epoch(params, TrainState(), [pair])
+    assert_same_weights(params, before)
+    for p in params.values():
+        assert p.tensor.grad is None and p.step_count == 0
+        assert not p.m.any() and not p.v.any()
+
+
+def test_blocked_minibatch_gives_the_whole_minibatch_loss_and_gradients(monkeypatch):
+    params = build_model(blocky_config())
+    assert params.config.block_frames == 2
+    rng = np.random.default_rng(1)
+    pairs = [blocky_pair(3, rng), blocky_pair(2, rng)]  # 5 frames: blocks of 2, 2 and 1
+
+    def stacked(side):
+        return Tensor(np.concatenate([frame_signal(getattr(p, side), 2048, 1024).frames
+                                      for p in pairs]))
+
+    whole = mae_loss(multistage_forward(params, stacked("noisy"))[0], stacked("clean"))
+    whole.backward()
+    want = {name: p.grad.copy() for name, p in params.items()}
+    params.zero_grad()
+
+    got = {}
+    monkeypatch.setattr(training, "adam_step", lambda ps, lr: got.update(
+        (p.name, p.grad.copy()) for p in ps))
+    loss = train_epoch(params, TrainState(), pairs, batch_size=2)
+    assert loss == pytest.approx(whole.item(), rel=1e-10)
+    assert got.keys() == want.keys()
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-10, err_msg=name)
+
+
+def test_minibatch_memory_is_bounded_by_one_block():
+    params = build_model(blocky_config())
+
+    def peak(n_frames):
+        pair = blocky_pair(n_frames, np.random.default_rng(n_frames))
+        tracemalloc.start()
+        try:
+            train_epoch(params, TrainState(), [pair])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) <= 1.25 * peak(2)
 
 
 # ---------------------------------------------------------------------------
