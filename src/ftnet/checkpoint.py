@@ -10,6 +10,10 @@ Layout, all little-endian:
     payload       per parameter, in index order: values, then first and
                   second Adam moments, each as raw float64
 
+Version 2 adds ``sample_rate`` (Hz, or null) to train_state, so that
+enhancing can reject audio at another rate than the training audio.
+Version 1 files still load, with the rate unknown.
+
 The header JSON is serialized with sorted keys and no whitespace and the
 container carries no timestamps, so saving the same state twice produces
 byte-identical files and a save -> load -> save round trip is exact.
@@ -23,14 +27,14 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .model import ModelConfig, build_model
 from .training import TrainState
 
 __all__ = ["MAGIC", "VERSION", "checkpoint_save", "checkpoint_load"]
 
 MAGIC = b"FTNC"
-VERSION = 1
+VERSION = 2
 
 
 def _param_payload(p):
@@ -79,27 +83,31 @@ def checkpoint_save(params, state, path):
 def checkpoint_load(path):
     """Read a container back into (FTNetParams, TrainState).
 
-    Any structural problem (bad magic, unknown version, truncation, index
-    not matching the config's parameter set) raises FormatError without
-    returning partial state.
+    Any structural problem (bad magic, unknown version, truncation, a
+    config or train state that fails its invariants, index not matching
+    the config's parameter set) raises FormatError without returning
+    partial state.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 16 or raw[:4] != MAGIC:
         raise FormatError(f"{path}: not a checkpoint container")
     (version,) = struct.unpack("<I", raw[4:8])
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version} (expected {VERSION})")
+    if version not in (1, VERSION):
+        raise FormatError(f"{path}: unsupported version {version} (expected 1 or {VERSION})")
     (header_len,) = struct.unpack("<Q", raw[8:16])
     if len(raw) < 16 + header_len:
         raise FormatError(f"{path}: truncated header")
     try:
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
         config = ModelConfig.from_dict(header["config"])
-        state = TrainState.from_dict(header["train_state"])
+        train_state = header["train_state"]
+        if version == 1:  # written before checkpoints recorded the training rate
+            train_state = {**train_state, "sample_rate": None}
+        state = TrainState.from_dict(train_state)
         index = header["params"]
         payload_bytes = int(header["payload_bytes"])
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ConfigError, ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: malformed header ({exc})") from None
     payload = raw[16 + header_len :]
     if len(payload) != payload_bytes:

@@ -53,7 +53,7 @@ MODEL_KEYS = {
 }
 TRAIN_KEYS = {
     "lr", "batch_size", "max_epochs", "halve_after", "stop_after",
-    "clip_grad", "target_seconds", "sample_rate",
+    "clip_grad", "target_seconds",
 }
 TRAIN_DEFAULTS = {
     "lr": 2e-4,
@@ -63,7 +63,6 @@ TRAIN_DEFAULTS = {
     "stop_after": 10,
     "clip_grad": None,
     "target_seconds": 4.0,
-    "sample_rate": 16000,
 }
 
 
@@ -166,7 +165,7 @@ def _load_manifest_pairs(args, train, seed):
         for r in MixManifest.load(args.manifest)
     ])
     bank = NoiseBank.from_dir(args.noise_dir, seed=seed)
-    target_len = int(round(train["target_seconds"] * train["sample_rate"]))
+    target_len = int(round(train["target_seconds"] * bank.sample_rate))
     return list(build_dataset(manifest, bank, seed=seed, target_len=target_len))
 
 
@@ -218,7 +217,7 @@ def cmd_mix(args):
     _echo_run("mix", extra={
         "manifest": args.manifest, "noise_dir": args.noise_dir,
         "out_dir": str(out), "seed": seed,
-        "target_seconds": train["target_seconds"], "sample_rate": train["sample_rate"],
+        "target_seconds": train["target_seconds"],
     })
     pairs = _load_manifest_pairs(args, train, seed)
     resolved = []
@@ -250,7 +249,8 @@ def cmd_train(args):
         # Desk-scale fallback: validate on the training pairs.
         val_pairs = train_pairs
     params = build_model(config)
-    state = TrainState(lr=train["lr"], rng_state=config.seed)
+    state = TrainState(lr=train["lr"], rng_state=config.seed,
+                       sample_rate=train_pairs[0].sample_rate)
 
     log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
     try:
@@ -304,7 +304,7 @@ def _enhance_frames(params, frames, stages, collect_hidden):
 
 def cmd_enhance(args):
     """Frame -> Q-stage forward -> overlap-add; optional per-stage dumps."""
-    params, _ = checkpoint_load(args.checkpoint)
+    params, state = checkpoint_load(args.checkpoint)
     config = params.config
     stages = args.stages if args.stages is not None else config.stages
     if stages < 1:
@@ -315,6 +315,11 @@ def cmd_enhance(args):
         "dump_stages": args.dump_stages or "", "dump_hidden": args.dump_hidden or "",
     })
     clip, rate = read_wav(args.infile)
+    if state.sample_rate is not None and rate != state.sample_rate:
+        raise FormatError(
+            f"{args.infile}: {rate} Hz input, but the checkpoint was trained at "
+            f"{state.sample_rate} Hz"
+        )
     batch = frame_signal(clip, config.frame_len, config.hop)
     per_stage, hiddens = _enhance_frames(
         params, batch.frames, stages, collect_hidden=bool(args.dump_hidden)
@@ -426,7 +431,6 @@ def build_parser():
     p.add_argument("--config")
     p.add_argument("--seed", type=int, help="run seed (overrides the config file)")
     p.add_argument("--target-seconds", type=float, dest="target_seconds")
-    p.add_argument("--sample-rate", type=int, dest="sample_rate")
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("train", help="train to the stop condition")
@@ -439,7 +443,6 @@ def build_parser():
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--max-epochs", type=int, dest="max_epochs")
     p.add_argument("--target-seconds", type=float, dest="target_seconds")
-    p.add_argument("--sample-rate", type=int, dest="sample_rate")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("enhance", help="denoise a WAV with a trained checkpoint")

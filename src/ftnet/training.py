@@ -40,7 +40,8 @@ class TrainState:
 
     rng_state is the run's master seed; epoch e draws its shuffle from the
     stream (rng_state, e). epoch counts completed epochs (0-based while
-    running).
+    running). sample_rate is the training audio's rate in Hz, or None
+    where it is unknown.
     """
 
     epoch: int = 0
@@ -50,6 +51,7 @@ class TrainState:
     total_increase_events: int = 0
     best_val: float = math.inf
     rng_state: int = 0
+    sample_rate: int | None = None
 
     def validate_invariants(self):
         if self.lr <= 0:
@@ -58,6 +60,8 @@ class TrainState:
             raise ConfigError("consecutive increases exceed total increase events")
         if self.val_history and self.best_val != min(self.val_history):
             raise ConfigError("best_val out of sync with val_history")
+        if self.sample_rate is not None and self.sample_rate <= 0:
+            raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
 
     def to_dict(self):
         return {
@@ -68,6 +72,7 @@ class TrainState:
             "total_increase_events": self.total_increase_events,
             "best_val": None if math.isinf(self.best_val) else self.best_val,
             "rng_state": self.rng_state,
+            "sample_rate": self.sample_rate,
         }
 
     @classmethod
@@ -80,6 +85,7 @@ class TrainState:
             total_increase_events=int(d["total_increase_events"]),
             best_val=math.inf if d["best_val"] is None else float(d["best_val"]),
             rng_state=int(d["rng_state"]),
+            sample_rate=None if d["sample_rate"] is None else int(d["sample_rate"]),
         )
         state.validate_invariants()
         return state

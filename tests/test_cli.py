@@ -1,5 +1,8 @@
 """End-to-end command tests driven through cli.main."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from ftnet import cli
 from ftnet import tensor as T
 from ftnet.audio import read_wav, write_wav
-from ftnet.checkpoint import checkpoint_save
+from ftnet.checkpoint import checkpoint_load, checkpoint_save
 from ftnet.mixer import MixManifest
 from ftnet.model import ModelConfig, build_model, multistage_forward
 from ftnet.training import TrainState
@@ -73,6 +76,40 @@ def test_mix_writes_pairs_and_resolved_manifest(corpus, capsys):
     assert len(noisy) == len(clean) == 6
     resolved = MixManifest.load(out / "manifest.resolved.tsv")
     assert all(r.cut_point is not None for r in resolved)
+
+
+def test_mix_sizes_utterances_from_the_corpus_rate(tmp_path, capsys):
+    manifest = tmp_path / "manifest.tsv"
+    assert cli.main([
+        "synth", "--out-dir", str(tmp_path / "corpus"), "--n-clean", "2", "--n-noise", "1",
+        "--clean-seconds", "0.3", "--noise-seconds", "10.0", "--sample-rate", "8000",
+        "--emit-manifest", str(manifest),
+    ]) == 0
+    out = tmp_path / "pairs"
+    assert cli.main(["mix", "--manifest", str(manifest),
+                     "--noise-dir", str(tmp_path / "corpus" / "noise"),
+                     "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    for path in sorted(out.glob("pair_*.wav")):
+        clip, rate = read_wav(path)
+        assert rate == 8000
+        assert clip.size == int(cli.TRAIN_DEFAULTS["target_seconds"] * 8000)
+
+
+def test_sample_rate_is_not_a_setting(corpus, capsys):
+    # The rate comes from the corpus; asking for another one fails loudly.
+    base = ["--manifest", str(corpus / "manifest.tsv"),
+            "--noise-dir", str(corpus / "corpus" / "noise")]
+    for command, dest in (("mix", "--out-dir"), ("train", "--out")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *base, dest, str(corpus / "x"), "--sample-rate", "8000"])
+        assert exc.value.code == 2
+    cfg = corpus / "rate.cfg"
+    cfg.write_text("sample_rate = 8000\n")
+    assert cli.main(["mix", *base, "--out-dir", str(corpus / "x"),
+                     "--config", str(cfg)]) == 2
+    assert "unknown setting 'sample_rate'" in capsys.readouterr().err
+    assert not (corpus / "x").exists()
 
 
 def test_mix_is_reproducible_bitwise(corpus, capsys):
@@ -176,6 +213,51 @@ def test_enhance_roundtrip_and_stage_dumps(corpus, capsys):
     assert len(hidden_files) == 3 * frames
     sample = np.loadtxt(hidden_files[0])
     assert sample.shape == (2, 32)  # state channels x frame_len / 2
+
+
+def test_train_records_its_rate_and_enhance_rejects_another(corpus, capsys):
+    ckpt, _, _ = run_training(corpus, capsys)
+    assert checkpoint_load(ckpt)[1].sample_rate == 16000
+    clip = 0.1 * np.random.default_rng(0).standard_normal(4800)
+    loud = corpus / "48k.wav"
+    write_wav(loud, clip, sample_rate=48000)
+    out = corpus / "48k_out.wav"
+    stages = corpus / "48k_stages"
+    code = cli.main(["enhance", "--checkpoint", str(ckpt), "--in", str(loud),
+                     "--out", str(out), "--dump-stages", str(stages)])
+    assert code == 5
+    assert "48000 Hz" in capsys.readouterr().err
+    assert not out.exists() and not stages.exists()
+
+
+def as_version_1(path, dest):
+    """Rewrite a checkpoint as format version 1, which records no sample rate."""
+    raw = path.read_bytes()
+    header_len = struct.unpack("<Q", raw[8:16])[0]
+    header = json.loads(raw[16 : 16 + header_len])
+    del header["train_state"]["sample_rate"]
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    dest.write_bytes(raw[:4] + struct.pack("<IQ", 1, len(blob)) + blob + raw[16 + header_len :])
+    return dest
+
+
+def test_version_1_checkpoint_still_loads_and_enhances(corpus, capsys):
+    ckpt, _, _ = run_training(corpus, capsys)
+    old = as_version_1(ckpt, corpus / "v1.ckpt")
+    params, state = checkpoint_load(ckpt)
+    old_params, old_state = checkpoint_load(old)
+    assert old_state.sample_rate is None
+    assert old_state.to_dict() == {**state.to_dict(), "sample_rate": None}
+    for name in params.names():
+        np.testing.assert_array_equal(old_params[name].data, params[name].data)
+    src = corpus / "corpus" / "clean" / "clean_000.wav"
+    outs = []
+    for tag, path in (("v2", ckpt), ("v1", old)):
+        outs.append(corpus / f"{tag}.wav")
+        assert cli.main(["enhance", "--checkpoint", str(path), "--in", str(src),
+                         "--out", str(outs[-1])]) == 0
+    capsys.readouterr()
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def constant_weight_checkpoint(path, value):

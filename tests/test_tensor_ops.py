@@ -1,4 +1,4 @@
-"""Forward-path checks for the tensor ops against loop-based oracles."""
+"""Tensor ops: forwards against the loop oracles, gradients against adjoint identities."""
 
 import os
 import subprocess
@@ -237,6 +237,38 @@ def test_adjoint_identity():
         lhs = float(np.sum(y_t.data * y))
         rhs = float(np.sum(x * back.data))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+def check_gradient_adjoints(op, geo):
+    """Both gradients of ``op`` against its bilinear form, to round-off.
+
+    With the bias taken out, ``op(x, w)`` is linear in x and in w, so for
+    any cotangent g: <op(x, w), g> = <x, dx> = <w, dw>. The tolerance is
+    1e-12 of the sum of absolute products, <op(|x|, |w|), |g|>, so an inner
+    product that cancels to near zero cannot flake the check.
+    """
+    x, w, b = (T.Tensor(a, requires_grad=True) for a in operands(geo))
+    out = op(x, w, b, **geo["kwargs"])
+    g = np.random.default_rng(geo["seed"] + 1).standard_normal(out.shape)
+    T.mul(out, T.Tensor(g)).sum().backward()
+    with T.no_grad():
+        scale = np.sum(op(T.Tensor(np.abs(x.data)), T.Tensor(np.abs(w.data)),
+                          **geo["kwargs"]).data * np.abs(g))
+    form = np.sum((out.data - b.data) * g)
+    for name, value, grad in (("x", x.data, x.grad), ("w", w.data, w.grad)):
+        assert abs(form - np.sum(value * grad)) <= 1e-12 * scale, name
+
+
+@settings(max_examples=80, deadline=None)
+@given(geo=conv1d_geometry())
+def test_conv1d_gradients_are_adjoint_for_any_geometry(geo):
+    check_gradient_adjoints(T.conv1d, geo)
+
+
+@settings(max_examples=80, deadline=None)
+@given(geo=conv1d_transpose_geometry())
+def test_conv1d_transpose_gradients_are_adjoint_for_any_geometry(geo):
+    check_gradient_adjoints(T.conv1d_transpose, geo)
 
 
 def test_importing_tensor_pins_openblas_to_one_thread():

@@ -392,6 +392,15 @@ def test_checkpoint_rejects_wrong_version(tmp_path):
         checkpoint_load(path)
 
 
+def test_checkpoint_rejects_a_non_positive_sample_rate(tmp_path):
+    params, state, _ = trained_params_state(epochs=1)
+    state.sample_rate = 0
+    path = tmp_path / "rate.ckpt"
+    checkpoint_save(params, state, path)
+    with pytest.raises(FormatError, match="sample_rate"):
+        checkpoint_load(path)
+
+
 def test_checkpoint_rejects_truncation(tmp_path):
     params, state, _ = trained_params_state(epochs=1)
     path = tmp_path / "t.ckpt"
