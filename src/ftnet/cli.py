@@ -7,9 +7,10 @@ Errors map to stable exit codes per category (see EXIT_CODES).
 
 import argparse
 import json
+import math
 import pathlib
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -47,23 +48,16 @@ EXIT_CODES = {
     OSError: 7,
 }
 
-MODEL_KEYS = {
-    "frame_len", "hop", "kernel", "encoder_channels", "glu_dilations",
-    "glu_bottleneck", "stages", "seed", "standard_gru_update",
-}
-TRAIN_KEYS = {
-    "lr", "batch_size", "max_epochs", "halve_after", "stop_after",
-    "clip_grad", "target_seconds",
-}
+MODEL_KEYS = {f.name for f in fields(ModelConfig)}
+# A setting whose default is an int is a count (>= 1); the others are
+# finite numbers > 0.
 TRAIN_DEFAULTS = {
     "lr": 2e-4,
     "batch_size": 2,
     "max_epochs": 50,
-    "halve_after": 3,
-    "stop_after": 10,
-    "clip_grad": None,
     "target_seconds": 4.0,
 }
+TRAIN_KEYS = set(TRAIN_DEFAULTS)
 
 
 def _parse_scalar(text):
@@ -121,8 +115,18 @@ def echo_config(settings, out=None):
         print(f"config:{key}={_format_value(settings[key])}", file=out)
 
 
+def _check_train_setting(key, value):
+    if type(TRAIN_DEFAULTS[key]) is int:
+        ok, want = type(value) is int and value >= 1, "an integer >= 1"
+    else:
+        ok, want = type(value) in (int, float) and 0 < value < math.inf, "a finite number > 0"
+    if not ok:
+        raise ConfigError(f"{key} must be {want}, got {value!r}")
+
+
 def resolve_settings(args):
-    """Merge defaults <- config file <- explicit CLI flags."""
+    """Merge defaults <- config file <- explicit CLI flags, then check the
+    training settings; a bad value raises ConfigError naming its key."""
     overrides = load_config_file(args.config) if getattr(args, "config", None) else {}
     model = {k: v for k, v in overrides.items() if k in MODEL_KEYS}
     train = dict(TRAIN_DEFAULTS)
@@ -135,6 +139,8 @@ def resolve_settings(args):
         flag = getattr(args, key, None)
         if flag is not None:
             train[key] = flag
+    for key, value in train.items():
+        _check_train_setting(key, value)
     try:
         config = ModelConfig.from_dict(model) if model else ModelConfig()
     except TypeError as exc:
@@ -237,8 +243,7 @@ def cmd_train(args):
     config, train = resolve_settings(args)
     _echo_run("train", config, extra={
         "manifest": args.manifest, "noise_dir": args.noise_dir,
-        "checkpoint": args.out, "log": args.log or "",
-        **{k: ("" if v is None else v) for k, v in train.items()},
+        "checkpoint": args.out, "log": args.log or "", **train,
     })
     pairs = _load_manifest_pairs(args, train, config.seed)
     train_pairs = [p for p in pairs if p.record.split == "train"]
@@ -267,9 +272,7 @@ def cmd_train(args):
         print(LOG_HEADER)
         fit(
             params, state, train_pairs, val_pairs,
-            max_epochs=train["max_epochs"], batch_size=train["batch_size"],
-            halve_after=train["halve_after"], stop_after=train["stop_after"],
-            clip_grad=train["clip_grad"], log_fn=log_row,
+            max_epochs=train["max_epochs"], batch_size=train["batch_size"], log_fn=log_row,
         )
     finally:
         if log_fh:
@@ -354,14 +357,7 @@ def cmd_analyze(args):
     _echo_run("analyze", config)
     report = analyze_structure(config)
     if args.json:
-        print(json.dumps({
-            "depth_per_stage": report.depth_per_stage,
-            "unfolded_depth": report.unfolded_depth,
-            "glu_receptive_field": report.glu_receptive_field,
-            "parameter_total": report.parameter_total,
-            "parameters_by_layer": dict(report.parameters_by_layer),
-            "shape_table": [list(row) for row in report.shape_table],
-        }, indent=2, sort_keys=True))
+        print(json.dumps(asdict(report), indent=2, sort_keys=True))
         return 0
     print(f"depth per stage: {report.depth_per_stage} weight-bearing layers")
     print(f"unfolded depth ({config.stages} stages): {report.unfolded_depth}")
@@ -379,17 +375,27 @@ def cmd_analyze(args):
     return 0
 
 
+def _read_at_rate(path, rate):
+    clip, got = read_wav(path)
+    if got != rate:
+        raise FormatError(f"{path}: {got} Hz clip, but the clean reference is {rate} Hz")
+    return clip
+
+
 def cmd_metrics(args):
-    """SNR of a test clip against clean, optionally vs a noisy reference."""
-    clean, _ = read_wav(args.clean)
-    test, _ = read_wav(args.test)
+    """SNR of a test clip against clean, optionally vs a noisy reference.
+
+    Every clip must share the clean clip's sample rate.
+    """
+    clean, rate = read_wav(args.clean)
+    test = _read_at_rate(args.test, rate)
+    noisy = _read_at_rate(args.noisy, rate) if args.noisy else None
     _echo_run("metrics", extra={
         "clean": args.clean, "test": args.test, "noisy": args.noisy or "",
     })
     snr = measure_snr(clean, test)
     print(f"snr_db={snr:.4f}")
-    if args.noisy:
-        noisy, _ = read_wav(args.noisy)
+    if noisy is not None:
         ref_snr = measure_snr(clean, noisy)
         print(f"noisy_snr_db={ref_snr:.4f}")
         print(f"snr_improvement_db={snr - ref_snr:.4f}")
@@ -472,15 +478,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FTNetError as exc:
+    except (FTNetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         for klass, code in EXIT_CODES.items():
             if isinstance(exc, klass):
                 return code
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CODES[OSError]
 
 
 if __name__ == "__main__":

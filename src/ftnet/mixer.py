@@ -39,7 +39,6 @@ __all__ = [
 
 TRAIN_VAL_SNRS = frozenset(range(-5, 11))
 TEST_SNRS = frozenset({-5, -2})
-DEFAULT_TARGET_LEN = 64000  # 4 seconds at 16 kHz
 
 
 def _energy(x):
@@ -276,7 +275,7 @@ def _draw_crop_start(n, target_len, rng):
     return int(rng.integers(0, n - target_len + 1))
 
 
-def chunk_or_pad(clip, rng, target_len=DEFAULT_TARGET_LEN):
+def chunk_or_pad(clip, rng, target_len):
     """Fix a clip's duration: random contiguous crop if long, tail zeros if short."""
     clip = np.asarray(clip, dtype=np.float64)
     if clip.ndim != 1 or clip.size == 0:
@@ -296,7 +295,7 @@ class MixedPair:
     sample_rate: int
 
 
-def build_dataset(manifest, bank, seed=None, *, clean_loader=None, target_len=DEFAULT_TARGET_LEN):
+def build_dataset(manifest, bank, seed=None, *, target_len, clean_loader=None):
     """Yield one MixedPair per manifest record, deterministically.
 
     Record i draws from its own stream seeded (seed, i): first the crop

@@ -12,7 +12,7 @@ produces frames of exactly ``config.frame_len`` samples.
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -100,17 +100,7 @@ class ModelConfig:
         return max(1, (3 << 20) // per_frame)
 
     def to_dict(self):
-        return {
-            "frame_len": self.frame_len,
-            "hop": self.hop,
-            "kernel": self.kernel,
-            "encoder_channels": list(self.encoder_channels),
-            "glu_dilations": list(self.glu_dilations),
-            "glu_bottleneck": self.glu_bottleneck,
-            "stages": self.stages,
-            "seed": self.seed,
-            "standard_gru_update": self.standard_gru_update,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d):
@@ -124,36 +114,21 @@ class ModelConfig:
         return cls(**d)
 
 
-class FTNetParams:
-    """Ordered bag of named parameters plus the config that shaped them."""
+class FTNetParams(dict):
+    """Named parameters in creation order plus the config that shaped them."""
 
     def __init__(self, config, params):
+        super().__init__(params)
         self.config = config
-        self._params = OrderedDict(params)
 
-    def __getitem__(self, name):
-        try:
-            return self._params[name]
-        except KeyError:
-            raise ConfigError(f"no parameter named {name!r}") from None
-
-    def __contains__(self, name):
-        return name in self._params
-
-    def __len__(self):
-        return len(self._params)
+    def __missing__(self, name):
+        raise ConfigError(f"no parameter named {name!r}")
 
     def names(self):
-        return list(self._params)
-
-    def values(self):
-        return self._params.values()
-
-    def items(self):
-        return self._params.items()
+        return list(self)
 
     def zero_grad(self):
-        for p in self._params.values():
+        for p in self.values():
             p.tensor.grad = None
 
 
@@ -287,7 +262,7 @@ def _conv_block(params, name, x, *, stride, dilation=1, act="prelu"):
     return out
 
 
-def convgru_forward(params, features, hidden, standard_update=None):
+def convgru_forward(params, features, hidden):
     """One convolutional GRU step.
 
     features is the fresh front-end map for this stage, hidden the carried
@@ -299,15 +274,13 @@ def convgru_forward(params, features, hidden, standard_update=None):
         n = tanh(Wn * features + Un * (r . hidden))
         out = (1 - z) . features + z . n
 
-    With standard_update=True the first blend term uses ``hidden`` instead
-    (the classic GRU interpolation).
+    With config.standard_gru_update the first blend term uses ``hidden``
+    instead (the classic GRU interpolation).
     """
     if features.data.shape != hidden.data.shape:
         raise ShapeError(
             f"conv_rnn: features {features.data.shape} vs hidden {hidden.data.shape}"
         )
-    if standard_update is None:
-        standard_update = params.config.standard_gru_update
 
     def gate(name_in, name_state, state_input):
         a = _conv_block(params, f"conv_rnn.{name_in}", features, stride=1, act=None)
@@ -323,7 +296,7 @@ def convgru_forward(params, features, hidden, standard_update=None):
         )
     )
     one = Tensor(np.ones_like(z.data))
-    keep = features if not standard_update else hidden
+    keep = hidden if params.config.standard_gru_update else features
     return T.add(T.mul(T.sub(one, z), keep), T.mul(z, n))
 
 

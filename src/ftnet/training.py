@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 LOG_HEADER = "epoch,train_mae,val_mae,lr,action"
+HALVE_AFTER = 3  # consecutive validation increases that halve the learning rate
+STOP_AFTER = 10  # validation increase events in total that stop the run
 
 
 @dataclass
@@ -134,21 +136,7 @@ def _require_finite(value, what):
     return value
 
 
-def _clip_gradients(params, max_norm):
-    total = 0.0
-    grads = []
-    for p in params.values():
-        if p.tensor.grad is not None:
-            grads.append(p.tensor.grad)
-            total += float(np.sum(p.tensor.grad**2))
-    norm = math.sqrt(total)
-    if norm > max_norm > 0:
-        factor = max_norm / norm
-        for g in grads:
-            g *= factor
-
-
-def train_epoch(params, state, train_pairs, *, batch_size=2, clip_grad=None):
+def train_epoch(params, state, train_pairs, *, batch_size=2):
     """One pass over the pairs in seeded shuffled minibatches; returns mean MAE.
 
     Each minibatch frames its utterances, runs the configured number of
@@ -179,8 +167,6 @@ def train_epoch(params, state, train_pairs, *, batch_size=2, clip_grad=None):
                 raise
             loss.backward()
         losses.append(total)
-        if clip_grad is not None:
-            _clip_gradients(params, clip_grad)
         adam_step(params.values(), lr=state.lr)
     return float(np.mean(losses))
 
@@ -202,12 +188,12 @@ def validate(params, val_pairs):
     return _require_finite(float(np.mean(losses)), "validation loss")
 
 
-def schedule_update(state, new_val_loss, *, max_epochs=50, halve_after=3, stop_after=10):
+def schedule_update(state, new_val_loss, *, max_epochs=50):
     """Record an epoch's validation loss; returns continue | halve_lr | stop.
 
     An increase event is new_val_loss strictly above the previous epoch's.
-    halve_after consecutive events halve the learning rate and reset the
-    streak; stop_after cumulative events, or reaching max_epochs, stop the
+    HALVE_AFTER consecutive events halve the learning rate and reset the
+    streak; STOP_AFTER cumulative events, or reaching max_epochs, stop the
     run (stop wins over halve when both fire). A non-finite loss raises
     DegenerateSignalError before the state changes.
     """
@@ -221,11 +207,11 @@ def schedule_update(state, new_val_loss, *, max_epochs=50, halve_after=3, stop_a
     state.val_history.append(float(new_val_loss))
     state.best_val = min(state.best_val, float(new_val_loss))
     action = "continue"
-    if state.consec_increase >= halve_after:
+    if state.consec_increase >= HALVE_AFTER:
         state.lr *= 0.5
         state.consec_increase = 0
         action = "halve_lr"
-    if state.total_increase_events >= stop_after:
+    if state.total_increase_events >= STOP_AFTER:
         action = "stop"
     state.epoch += 1
     if state.epoch >= max_epochs:
@@ -233,19 +219,7 @@ def schedule_update(state, new_val_loss, *, max_epochs=50, halve_after=3, stop_a
     return action
 
 
-def fit(
-    params,
-    state,
-    train_pairs,
-    val_pairs,
-    *,
-    max_epochs=50,
-    batch_size=2,
-    halve_after=3,
-    stop_after=10,
-    clip_grad=None,
-    log_fn=None,
-):
+def fit(params, state, train_pairs, val_pairs, *, max_epochs=50, batch_size=2, log_fn=None):
     """Run epochs until the schedule stops; returns (state, epoch log rows).
 
     log_fn(row) runs after every epoch, once params and state hold that
@@ -257,15 +231,10 @@ def fit(
     val_pairs = list(val_pairs)
     rows = []
     while state.epoch < max_epochs:
-        train_mae = train_epoch(
-            params, state, train_pairs, batch_size=batch_size, clip_grad=clip_grad
-        )
+        train_mae = train_epoch(params, state, train_pairs, batch_size=batch_size)
         val_mae = validate(params, val_pairs)
         lr_used = state.lr
-        action = schedule_update(
-            state, val_mae, max_epochs=max_epochs,
-            halve_after=halve_after, stop_after=stop_after,
-        )
+        action = schedule_update(state, val_mae, max_epochs=max_epochs)
         row = EpochLog(state.epoch, train_mae, val_mae, lr_used, action)
         rows.append(row)
         if log_fn is not None:

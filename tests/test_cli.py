@@ -170,6 +170,37 @@ def test_train_writes_checkpoint_and_log(corpus, capsys):
     assert float(first[3]) == 0.001  # lr from the config file
 
 
+@pytest.mark.parametrize("flags, config_line, key", [
+    (["--lr", "-1"], "", "lr"),
+    (["--lr", "0"], "", "lr"),
+    (["--lr", "nan"], "", "lr"),
+    (["--lr", "inf"], "", "lr"),
+    ([], "lr = abc", "lr"),
+    ([], "lr = true", "lr"),
+    (["--target-seconds", "0"], "", "target_seconds"),
+    (["--target-seconds", "-0.5"], "", "target_seconds"),
+    (["--max-epochs", "0"], "", "max_epochs"),
+    (["--batch-size", "0"], "", "batch_size"),
+    ([], "batch_size = 1.5", "batch_size"),
+    ([], "max_epochs = true", "max_epochs"),
+], ids=["lr-negative", "lr-zero", "lr-nan", "lr-inf", "lr-text", "lr-bool",
+        "target_seconds-zero", "target_seconds-negative", "max_epochs-zero",
+        "batch_size-zero", "batch_size-fraction", "max_epochs-bool"])
+def test_bad_training_setting_exits_config_code_without_files(corpus, capsys, flags,
+                                                              config_line, key):
+    cfg = corpus / "bad_train.cfg"
+    cfg.write_text(MICRO_CONFIG + config_line + "\n")
+    ckpt, log = corpus / "bad.ckpt", corpus / "bad.csv"
+    code = cli.main([
+        "train", "--manifest", str(corpus / "manifest.tsv"),
+        "--noise-dir", str(corpus / "corpus" / "noise"),
+        "--out", str(ckpt), "--log", str(log), "--config", str(cfg), *flags,
+    ])
+    assert code == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not ckpt.exists() and not log.exists()
+
+
 def test_train_default_lr_matches_recipe(corpus, capsys):
     # Without an lr override the first epoch must log 0.0002.
     cfg = corpus / "no_lr.cfg"
@@ -363,6 +394,20 @@ def test_metrics_reports_mixture_snr_and_improvement(tmp_path, capsys):
     assert improvement > 0
 
 
+@pytest.mark.parametrize("flag", ["--test", "--noisy"])
+def test_metrics_rejects_a_clip_at_another_rate_than_clean(tmp_path, capsys, flag):
+    samples = 0.5 * np.sin(np.arange(2000) / 7.0)
+    clean, other = tmp_path / "c.wav", tmp_path / "o.wav"
+    write_wav(clean, samples, sample_rate=16000)
+    write_wav(other, samples, sample_rate=8000)
+    argv = ["metrics", "--clean", str(clean), "--test", str(clean), "--noisy", str(clean)]
+    argv[argv.index(flag) + 1] = str(other)
+    assert cli.main(argv) == 5
+    captured = capsys.readouterr()
+    assert "8000 Hz" in captured.err
+    assert "snr_db=" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # failure exit codes
 
@@ -401,11 +446,12 @@ def test_bad_config_value_exits_config_code(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_unknown_config_key_exits_config_code(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["kernle", "clip_grad", "halve_after", "stop_after"])
+def test_unknown_config_key_exits_config_code(tmp_path, capsys, key):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("kernle = 11\n")
+    cfg.write_text(f"{key} = 11\n")
     assert cli.main(["analyze", "--config", str(cfg)]) == 2
-    capsys.readouterr()
+    assert f"unknown setting {key!r}" in capsys.readouterr().err
 
 
 def test_corrupt_checkpoint_exits_format_code(tmp_path, capsys):

@@ -331,14 +331,14 @@ def test_noise_bank_from_dir_rejects_files_at_different_rates(tmp_path):
 
 def test_build_dataset_empty_manifest_yields_nothing():
     bank = mixer.NoiseBank.from_clips([np.ones(100)])
-    assert list(mixer.build_dataset(mixer.MixManifest([]), bank, seed=0)) == []
+    assert list(mixer.build_dataset(mixer.MixManifest([]), bank, seed=0, target_len=64_000)) == []
 
 
 def test_build_dataset_missing_file_raises_oserror_with_path():
     bank = mixer.NoiseBank.from_clips([np.ones(100_000)])
     manifest = mixer.MixManifest([mixer.MixRecord("/no/such/file.wav", 0.0, "train")])
     with pytest.raises(OSError, match="file.wav"):
-        list(mixer.build_dataset(manifest, bank, seed=0))
+        list(mixer.build_dataset(manifest, bank, seed=0, target_len=64_000))
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,8 @@ def test_convgru_standard_update_variant():
     got = M.convgru_forward(params, Tensor(feats), Tensor(hidden))
     want = naive_convgru(gru_weight_arrays(params), feats, hidden, cfg.kernel, standard_update=True)
     assert np.max(np.abs(got.data - want)) <= 1e-10
-    default = M.convgru_forward(params, Tensor(feats), Tensor(hidden), standard_update=False)
+    default_params = M.build_model(tiny_config(standard_gru_update=False))
+    default = M.convgru_forward(default_params, Tensor(feats), Tensor(hidden))
     assert np.max(np.abs(default.data - got.data)) > 1e-8
 
 
