@@ -94,7 +94,8 @@ class ModelConfig:
         The largest im2col copy, the GRU convs' C0*K*frame_len/2 float64
         values per frame, stays near an L2 cache (3 MiB): 2 frames at full
         size, 8 at desk scale. Memory is then bounded by one block, not by
-        the clip or minibatch.
+        the clip or minibatch. Enhance runs in float32, so its copies are
+        half that size.
         """
         per_frame = 8 * self.encoder_channels[0] * self.kernel * (self.frame_len // 2)
         return max(1, (3 << 20) // per_frame)
@@ -221,9 +222,13 @@ def build_model(config):
 
 
 def initial_state(x, config):
-    """State ahead of the first pass: zero hidden, the noisy input as estimate."""
+    """State ahead of the first pass: zero hidden, the noisy input as estimate.
+
+    The hidden map takes x's dtype, so a float32 input runs in float32 throughout.
+    """
     batch = x.data.shape[0]
-    hidden = Tensor(np.zeros((batch, config.encoder_channels[0], config.frame_len // 2)))
+    shape = (batch, config.encoder_channels[0], config.frame_len // 2)
+    hidden = Tensor(np.zeros(shape, dtype=x.data.dtype))
     return StageState(hidden=hidden, estimate=x)
 
 

@@ -1,6 +1,7 @@
 """End-to-end command tests driven through cli.main."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from ftnet import cli
 from ftnet import tensor as T
-from ftnet.audio import read_wav, write_wav
+from ftnet.audio import FrameBatch, frame_signal, overlap_add, read_wav, write_wav
 from ftnet.checkpoint import checkpoint_load, checkpoint_save
 from ftnet.mixer import MixManifest
 from ftnet.model import ModelConfig, build_model, multistage_forward
@@ -201,6 +202,20 @@ def test_bad_training_setting_exits_config_code_without_files(corpus, capsys, fl
     assert not ckpt.exists() and not log.exists()
 
 
+@pytest.mark.parametrize("command, dest", [("mix", "--out-dir"), ("train", "--out")])
+def test_target_seconds_under_one_sample_exits_config_code_without_files(corpus, capsys,
+                                                                         command, dest):
+    out, log = corpus / "tiny", corpus / "tiny.csv"
+    argv = [command, "--manifest", str(corpus / "manifest.tsv"),
+            "--noise-dir", str(corpus / "corpus" / "noise"), dest, str(out),
+            "--target-seconds", "0.00001"]
+    if command == "train":
+        argv += ["--log", str(log), "--config", str(corpus / "micro.cfg")]
+    assert cli.main(argv) == 2
+    assert "error: target_seconds 1e-05 is under one sample at 16000 Hz" in capsys.readouterr().err
+    assert not out.exists() and not log.exists()
+
+
 def test_train_default_lr_matches_recipe(corpus, capsys):
     # Without an lr override the first epoch must log 0.0002.
     cfg = corpus / "no_lr.cfg"
@@ -230,11 +245,17 @@ def test_enhance_roundtrip_and_stage_dumps(corpus, capsys):
         "--dump-stages", str(stage_dir), "--dump-hidden", str(hidden_dir),
     ])
     assert code == 0
-    capsys.readouterr()
+    summary = capsys.readouterr().out.splitlines()[-1]
     original, rate_in = read_wav(noisy_in)
     enhanced, rate_out = read_wav(out_wav)
     assert enhanced.size == original.size
     assert rate_out == rate_in
+    speed = re.fullmatch(r"enhanced .* \(3 stages, \d+ frames\) in (\S+) s, rtf (\S+)", summary)
+    wall, rtf = float(speed[1]), float(speed[2])
+    assert wall > 0
+    # Both values are rounded for print: wall to 1 ms, rtf to 1e-4.
+    assert rtf == pytest.approx(wall * rate_in / original.size,
+                                abs=0.0005 * rate_in / original.size + 0.00005)
     stage_files = sorted(stage_dir.glob("stage_*.wav"))
     assert [p.name for p in stage_files] == ["stage_1.wav", "stage_2.wav", "stage_3.wav"]
     # Final dumped stage is the main output, byte for byte.
@@ -244,6 +265,31 @@ def test_enhance_roundtrip_and_stage_dumps(corpus, capsys):
     assert len(hidden_files) == 3 * frames
     sample = np.loadtxt(hidden_files[0])
     assert sample.shape == (2, 32)  # state channels x frame_len / 2
+
+
+def test_float32_enhance_stays_within_one_step_of_float64(corpus, capsys, tmp_path):
+    ckpt, _, _ = run_training(corpus, capsys)
+    src = corpus / "corpus" / "clean" / "clean_005.wav"  # has a near-tie sample
+    out, stage_dir = tmp_path / "enhanced.wav", tmp_path / "stages"
+    assert cli.main(["enhance", "--checkpoint", str(ckpt), "--in", str(src),
+                     "--out", str(out), "--dump-stages", str(stage_dir)]) == 0
+    capsys.readouterr()
+    params, _ = checkpoint_load(ckpt)
+    clip, rate = read_wav(src)
+    batch = frame_signal(clip, params.config.frame_len, params.config.hop)
+    assert batch.frames.dtype == params["conv1d_1.weight"].data.dtype == np.float64
+    per_stage, _ = cli._enhance_frames(params, batch.frames, params.config.stages, False)
+    got, want = [], []
+    for q, frames in enumerate(per_stage, start=1):
+        ref = tmp_path / f"ref_{q}.wav"
+        write_wav(ref, overlap_add(FrameBatch(frames, batch.hop, clip.size)), rate)
+        want.append(read_wav(ref)[0])
+        got.append(read_wav(stage_dir / f"stage_{q}.wav")[0])
+    got.append(read_wav(out)[0])
+    want.append(want[-1])
+    steps = np.abs(np.concatenate(got) - np.concatenate(want)) * 32768
+    assert steps.max() <= 1
+    assert np.count_nonzero(steps) < 1e-3 * steps.size
 
 
 def test_train_records_its_rate_and_enhance_rejects_another(corpus, capsys):
@@ -322,6 +368,28 @@ def test_enhance_in_blocks_matches_one_whole_batch_pass(n_frames, collect_hidden
             np.testing.assert_allclose(got, ref.data, rtol=1e-12)
     else:
         assert hiddens == []
+
+
+def cast_weights(params, dtype):
+    """A copy of ``params`` with every weight cast to ``dtype``."""
+    copy = build_model(params.config)
+    for name, p in copy.items():
+        p.tensor.data = params[name].data.astype(dtype)
+    return copy
+
+
+BLOCKY32 = cast_weights(BLOCKY, np.float32)
+
+
+@settings(max_examples=12)
+@given(n_frames=st.integers(min_value=1, max_value=4 * BLOCKY.config.block_frames - 1),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_enhance_frames_keep_the_dtype_they_are_given(n_frames, dtype):
+    params = BLOCKY32 if dtype is np.float32 else BLOCKY
+    frames = 0.1 * np.random.default_rng(n_frames).standard_normal((n_frames, 1, 2048))
+    per_stage, hiddens = cli._enhance_frames(params, frames.astype(dtype), 2, True)
+    assert [a.dtype for a in per_stage + hiddens] == [np.dtype(dtype)] * 4
+    assert [a.shape[0] for a in per_stage + hiddens] == [n_frames] * 4
 
 
 def test_enhance_zero_weights_give_silence(corpus, capsys, tmp_path):
