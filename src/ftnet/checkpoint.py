@@ -109,17 +109,19 @@ def checkpoint_load(path):
         payload_bytes = int(header["payload_bytes"])
     except (ConfigError, ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: malformed header ({exc})") from None
-    payload = raw[16 + header_len :]
-    if len(payload) != payload_bytes:
+    start = 16 + header_len
+    if len(raw) - start != payload_bytes:
         raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, header promises {payload_bytes}"
+            f"{path}: payload is {len(raw) - start} bytes, header promises {payload_bytes}"
         )
 
+    # Values and moments go straight from the file's bytes into the fresh
+    # model's arrays: no second copy of the payload.
     params = build_model(config)
     names = params.names()
     if [entry.get("name") for entry in index] != names:
         raise FormatError(f"{path}: parameter index does not match the config's layout")
-    offset = 0
+    offset = start
     for entry in index:
         p = params[entry["name"]]
         shape = tuple(int(s) for s in entry["shape"])
@@ -129,18 +131,12 @@ def checkpoint_load(path):
             )
         count = int(np.prod(shape))
         span = count * 8
-        if offset + 3 * span > len(payload):
+        if offset + 3 * span > len(raw):
             raise FormatError(f"{path}: truncated payload at {entry['name']}")
-        for target in ("data", "m", "v"):
-            block = np.frombuffer(payload[offset : offset + span], dtype="<f8").reshape(shape)
-            if target == "data":
-                p.tensor.data = block.copy()
-            elif target == "m":
-                p.m = block.copy()
-            else:
-                p.v = block.copy()
+        for target in (p.tensor.data, p.m, p.v):
+            target[...] = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
             offset += span
         p.step_count = int(entry["step_count"])
-    if offset != len(payload):
-        raise FormatError(f"{path}: {len(payload) - offset} trailing payload bytes")
+    if offset != len(raw):
+        raise FormatError(f"{path}: {len(raw) - offset} trailing payload bytes")
     return params, state

@@ -12,7 +12,7 @@ produces frames of exactly ``config.frame_len`` samples.
 """
 
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -63,8 +63,14 @@ class ModelConfig:
         self.validate()
 
     def validate(self):
+        for f in fields(self):  # an int default takes an int (no bool); a tuple default, ints
+            value, tupled = getattr(self, f.name), isinstance(f.default, tuple)
+            entries = value if tupled and type(value) is tuple else (value,)
+            if type(f.default) in (int, tuple) and any(type(v) is not int for v in entries):
+                want = "a tuple of integers" if tupled else "an integer"
+                raise ConfigError(f"{f.name} must be {want}, got {value!r}")
         c = self.encoder_channels
-        if len(c) < 2 or any(int(ch) <= 0 for ch in c):
+        if len(c) < 2 or any(ch <= 0 for ch in c):
             raise ConfigError(f"encoder_channels needs >= 2 positive entries, got {c}")
         if self.kernel < 3 or self.kernel % 2 == 0:
             raise ConfigError(f"kernel must be odd and >= 3, got {self.kernel}")
@@ -76,7 +82,7 @@ class ModelConfig:
             )
         if not 1 <= self.hop <= self.frame_len:
             raise ConfigError(f"hop {self.hop} must lie in [1, frame_len]")
-        if not self.glu_dilations or any(int(d) <= 0 for d in self.glu_dilations):
+        if not self.glu_dilations or any(d <= 0 for d in self.glu_dilations):
             raise ConfigError(f"glu_dilations must be positive, got {self.glu_dilations}")
         if self.glu_bottleneck <= 0:
             raise ConfigError(f"glu_bottleneck must be positive, got {self.glu_bottleneck}")
@@ -106,12 +112,10 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        for key in ("encoder_channels", "glu_dilations"):
-            if key in d:
-                v = d[key]
-                if isinstance(v, (int, float)):
-                    v = (v,)
-                d[key] = tuple(int(x) for x in v)
+        for f in fields(cls):
+            if isinstance(f.default, tuple) and f.name in d:
+                v = d[f.name]
+                d[f.name] = tuple(v) if isinstance(v, (list, tuple)) else (v,)
         return cls(**d)
 
 
@@ -215,8 +219,7 @@ def build_model(config):
 
     plan = _decoder_plan(config)
     for j, (in_ch, out_ch) in enumerate(plan, start=1):
-        last = j == len(plan)
-        add_conv(f"deconv1d_{j}", in_ch, out_ch, k, with_prelu=not last, transposed=True)
+        add_conv(f"deconv1d_{j}", in_ch, out_ch, k, with_prelu=j < len(plan), transposed=True)
 
     return FTNetParams(config, params)
 
@@ -243,14 +246,11 @@ def _trace(trace, name, before, after):
         )
 
 
-def _conv_block(params, name, x, *, stride, dilation=1, act="prelu"):
-    """Named conv + activation with the length-preserving/halving pad plan."""
+def _conv_block(params, name, x, *, stride, dilation=1):
+    """Named conv, plus its PReLU if it has one, with the length-preserving/halving pad plan."""
     weight = params[f"{name}.weight"]
     m = weight.data.shape[2] // 2
-    if stride == 1:
-        pads = (m * dilation, m * dilation)
-    else:
-        pads = (m, m - 1)
+    pads = (m * dilation, m * dilation) if stride == 1 else (m, m - 1)
     try:
         out = T.conv1d(
             x, weight.tensor, params[f"{name}.bias"].tensor,
@@ -258,12 +258,8 @@ def _conv_block(params, name, x, *, stride, dilation=1, act="prelu"):
         )
     except ShapeError as exc:
         raise ShapeError(f"{name}: {exc}") from None
-    if act == "prelu":
+    if f"{name}.prelu" in params:
         out = T.prelu(out, params[f"{name}.prelu"].tensor)
-    elif act == "sigmoid":
-        out = T.sigmoid(out)
-    elif act is not None:
-        raise ConfigError(f"unknown block activation {act!r}")
     return out
 
 
@@ -288,18 +284,13 @@ def convgru_forward(params, features, hidden):
         )
 
     def gate(name_in, name_state, state_input):
-        a = _conv_block(params, f"conv_rnn.{name_in}", features, stride=1, act=None)
-        b = _conv_block(params, f"conv_rnn.{name_state}", state_input, stride=1, act=None)
+        a = _conv_block(params, f"conv_rnn.{name_in}", features, stride=1)
+        b = _conv_block(params, f"conv_rnn.{name_state}", state_input, stride=1)
         return T.add(a, b)
 
     z = T.sigmoid(gate("update_in", "update_state", hidden))
     r = T.sigmoid(gate("reset_in", "reset_state", hidden))
-    n = T.tanh(
-        T.add(
-            _conv_block(params, "conv_rnn.cand_in", features, stride=1, act=None),
-            _conv_block(params, "conv_rnn.cand_state", T.mul(r, hidden), stride=1, act=None),
-        )
-    )
+    n = T.tanh(gate("cand_in", "cand_state", T.mul(r, hidden)))
     one = Tensor(np.ones_like(z.data))
     keep = hidden if params.config.standard_gru_update else features
     return T.add(T.mul(T.sub(one, z), keep), T.mul(z, n))
@@ -333,12 +324,12 @@ def glu_forward(params, x, index):
     dilations = params.config.glu_dilations
     if not 1 <= index <= len(dilations):
         raise ConfigError(f"glu index {index} outside 1..{len(dilations)}")
-    d = int(dilations[index - 1])
+    d = dilations[index - 1]
     pre = f"glu_{index}"
     h = _conv_block(params, f"{pre}.in_conv", x, stride=1)
-    main = _conv_block(params, f"{pre}.main_conv", h, stride=1, dilation=d, act=None)
-    gate = _conv_block(params, f"{pre}.gate_conv", h, stride=1, dilation=d, act="sigmoid")
-    widened = _conv_block(params, f"{pre}.out_conv", T.mul(main, gate), stride=1, act=None)
+    main = _conv_block(params, f"{pre}.main_conv", h, stride=1, dilation=d)
+    gate = T.sigmoid(_conv_block(params, f"{pre}.gate_conv", h, stride=1, dilation=d))
+    widened = _conv_block(params, f"{pre}.out_conv", T.mul(main, gate), stride=1)
     return T.add(x, widened)
 
 
@@ -370,19 +361,16 @@ def stage_forward(params, x, state, trace=None):
         _trace(trace, f"glu_{j}", feat, out)
         feat = out
 
-    n_dec = len(c) - 1
-    for j in range(1, n_dec + 1):
-        skip = skips[-j]
+    for j, skip in enumerate(reversed(skips), start=1):
         joined = T.concat_channels(feat, skip)
         _trace(trace, f"skip_{j}", feat, joined)
-        last = j == n_dec
         deconv = T.conv1d_transpose(
             joined,
             params[f"deconv1d_{j}.weight"].tensor,
             params[f"deconv1d_{j}.bias"].tensor,
             stride=2, pad=config.kernel // 2, output_pad=1,
         )
-        if not last:
+        if f"deconv1d_{j}.prelu" in params:
             deconv = T.prelu(deconv, params[f"deconv1d_{j}.prelu"].tensor)
         _trace(trace, f"deconv1d_{j}", joined, deconv)
         feat = deconv

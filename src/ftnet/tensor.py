@@ -4,11 +4,11 @@ Every value is a rank-3 array laid out (batch, channels, length). The engine
 implements exactly the operations the enhancement network needs: strided and
 dilated 1-D convolution, its transposed counterpart, pointwise arithmetic,
 sigmoid/tanh/PReLU, channel concatenation, MAE loss, and an Adam step. Both
-convolutions, forward and backward, share one im2col gather/scatter pair
-and contract with ``np.matmul``. The scatter runs only where the stride
-demands it: a strided conv's input gradient and the transposed conv's
-forward; a stride-1 conv's input gradient is a gather too. Importing this
-module pins OpenBLAS to one thread for the process (see
+convolutions, forward and backward, run on three private kernels: a
+correlation (pad, im2col gather, one ``np.matmul``), its input adjoint and
+its weight gradient. ``conv1d`` runs them forward; ``conv1d_transpose`` runs
+the adjoint as its forward, so it is conv1d's adjoint by construction.
+Importing this module pins OpenBLAS to one thread for the process (see
 ``_one_blas_thread``).
 
 Gradients are recorded with closures on the output tensor (one closure per
@@ -218,17 +218,17 @@ class Parameter:
 # ---------------------------------------------------------------------------
 # convolution
 #
-# A transposed convolution is the adjoint of a convolution, so both come from
-# one im2col gather and its adjoint scatter. The gathered copy is K times its
-# input, so backward closures keep the input tensor, pad it and gather again.
+# One core of three kernels: ``_correlate`` (pad, gather, one GEMM), its input
+# adjoint and its weight gradient. conv1d runs them forward. conv1d_transpose
+# is the input adjoint of the conv1d its weight describes: it runs the adjoint
+# forward and ``_correlate`` backward. Backward closures keep the input
+# tensor, not its gathered columns, which are K times its size.
 #
-# The input gradient of a stride-1 conv is itself a stride-1 conv: a full
-# correlation of the output gradient with the tap-flipped, channel-swapped
-# kernel. It takes the forward's gather + GEMM path, which avoids the
-# scatter's per-tap read-modify-write over the whole output; 31 of a stage's
-# 35 conv1d calls have stride 1. A strided conv's gradient keeps the scatter:
-# one stride-1 gather per phase measured 1.3-14x slower on the full-size
-# encoder shapes, whose gradients map wide channels to narrow ones.
+# Only the adjoint picks gather or scatter. At stride 1 it is a full
+# correlation with the flipped, channel-swapped kernel, which skips the
+# scatter's per-tap read-modify-write (31 of a stage's 35 conv1d calls have
+# stride 1). Strided, it scatters: a stride-1 gather per phase measured
+# 1.3-14x slower on the full-size encoder shapes (wide to narrow channels).
 
 
 def _one_blas_thread():
@@ -301,6 +301,30 @@ def _check_conv(x, w_in, out_ch, bias, pads):
         raise ConfigError(f"bias shape {bias.data.shape} does not match (1, {out_ch}, 1)")
 
 
+def _correlate(a, w, stride, dilation, pads, positions):
+    """Correlate padded ``a`` with ``w`` (C_out, C_in, K); returns it and the columns."""
+    cols = _gather(_pad(a, *pads), w.shape[2], positions, stride, dilation)
+    return np.matmul(w.reshape(w.shape[0], -1), cols), cols
+
+
+def _correlate_adjoint(g, w, stride, dilation, pads, length):
+    """Adjoint of ``_correlate`` in ``a`` (``length`` samples); a negative pad zero-fills."""
+    if stride == 1:  # a full correlation of g with the flipped, channel-swapped kernel
+        reach = dilation * (w.shape[2] - 1)
+        flipped = w[:, :, ::-1].transpose(1, 0, 2)
+        return _correlate(g, flipped, 1, dilation, (reach - pads[0], reach - pads[1]), length)[0]
+    spread = np.matmul(w.reshape(w.shape[0], -1).T, g)
+    full = _scatter(spread, length + sum(pads), w.shape[2], stride, dilation)
+    return _pad(full, -pads[0], -pads[1])
+
+
+def _correlate_dw(g, a, w, stride, dilation, pads, cols=None):
+    """Gradient of ``_correlate`` in ``w``; ``cols`` are ``a``'s columns, if at hand."""
+    if cols is None:
+        cols = _gather(_pad(a, *pads), w.shape[2], g.shape[2], stride, dilation)
+    return np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+
+
 def conv1d(x, weight, bias=None, *, stride=1, dilation=1, pad_left=0, pad_right=0):
     """Strided, dilated cross-correlation along the length axis.
 
@@ -312,16 +336,15 @@ def conv1d(x, weight, bias=None, *, stride=1, dilation=1, pad_left=0, pad_right=
         raise ConfigError(f"stride and dilation must be >= 1, got {stride}, {dilation}")
     length = x.data.shape[2]
     out_ch, in_ch, kernel = weight.data.shape
-    _check_conv(x, in_ch, out_ch, bias, (pad_left, pad_right))
+    pads = (pad_left, pad_right)
+    _check_conv(x, in_ch, out_ch, bias, pads)
     span = dilation * (kernel - 1) + 1
     padded_len = length + pad_left + pad_right
     if span > padded_len:
         raise ShapeError(f"effective kernel span {span} exceeds padded input length {padded_len}")
     out_len = (padded_len - span) // stride + 1
 
-    padded = _pad(x.data, pad_left, pad_right)
-    w2 = weight.data.reshape(out_ch, in_ch * kernel)
-    out_data = np.matmul(w2, _gather(padded, kernel, out_len, stride, dilation))
+    out_data = _correlate(x.data, weight.data, stride, dilation, pads, out_len)[0]
     if bias is not None:
         out_data += bias.data
 
@@ -332,21 +355,11 @@ def conv1d(x, weight, bias=None, *, stride=1, dilation=1, pad_left=0, pad_right=
         def backprop():
             g = out.grad
             if weight.requires_grad:
-                padded = _pad(x.data, pad_left, pad_right)
-                cols = _gather(padded, kernel, out_len, stride, dilation)
-                dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
-                _accumulate(weight, dw.reshape(weight.data.shape))
+                _accumulate(weight, _correlate_dw(g, x.data, weight.data, stride, dilation, pads))
             if bias is not None and bias.requires_grad:
                 _accumulate(bias, g.sum(axis=(0, 2), keepdims=True))
-            if x.requires_grad and stride == 1:
-                # A full correlation of g with the flipped, channel-swapped kernel.
-                wf = w2.reshape(out_ch, in_ch, kernel)[:, :, ::-1].transpose(1, 0, 2)
-                gz = _pad(g, span - 1 - pad_left, span - 1 - pad_right)
-                cols = _gather(gz, kernel, length, 1, dilation)
-                _accumulate(x, np.matmul(wf.reshape(in_ch, out_ch * kernel), cols))
-            elif x.requires_grad:
-                gp = _scatter(np.matmul(w2.T, g), padded_len, kernel, stride, dilation)
-                _accumulate(x, gp[:, :, pad_left : pad_left + length])
+            if x.requires_grad:
+                _accumulate(x, _correlate_adjoint(g, weight.data, stride, dilation, pads, length))
 
         out._backward_fn = backprop
     return out
@@ -356,9 +369,8 @@ def conv1d_transpose(x, weight, bias=None, *, stride=1, pad=0, output_pad=0):
     """Transposed 1-D convolution; the exact adjoint of a matching conv1d.
 
     x: (B, C_in, L); weight: (C_in, C_out, K); bias: (1, C_out, 1) or None.
-    Output length is (L-1)*stride - 2*pad + K + output_pad. The symmetric
-    ``pad`` crops the scattered result; ``output_pad`` extends its tail, so
-    (pad, output_pad) = (p, op) inverts a conv padded (p, p - op).
+    Output length is (L-1)*stride - 2*pad + K + output_pad. The matching
+    conv1d reads this weight as its own, padded (pad, pad - output_pad).
     """
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
@@ -370,12 +382,11 @@ def conv1d_transpose(x, weight, bias=None, *, stride=1, pad=0, output_pad=0):
     out_len = (length - 1) * stride - 2 * pad + kernel + output_pad
     if out_len < 1:
         raise ShapeError(f"transposed output length {out_len} is not positive")
+    pads = (pad, pad - output_pad)
 
-    w2 = weight.data.reshape(in_ch, out_ch * kernel)
-    full = _scatter(np.matmul(w2.T, x.data), out_len + 2 * pad, kernel, stride, 1)
-    out_data = full[:, :, pad : pad + out_len].copy()
+    out_data = _correlate_adjoint(x.data, weight.data, stride, 1, pads, out_len)
     if bias is not None:
-        out_data += bias.data
+        out_data = out_data + bias.data
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = _make_result(out_data, parents)
@@ -383,12 +394,13 @@ def conv1d_transpose(x, weight, bias=None, *, stride=1, pad=0, output_pad=0):
 
         def backprop():
             g = out.grad
-            cols = _gather(_pad(g, pad, pad), kernel, length, stride, 1)
+            cols = None
             if x.requires_grad:
-                _accumulate(x, np.matmul(w2, cols))
-            if weight.requires_grad:
-                dw = np.matmul(x.data, cols.transpose(0, 2, 1)).sum(axis=0)
-                _accumulate(weight, dw.reshape(weight.data.shape))
+                dx, cols = _correlate(g, weight.data, stride, 1, pads, length)
+                _accumulate(x, dx)
+                del dx  # not held through the weight gradient's GEMM
+            if weight.requires_grad:  # that conv1d's input is g, its output gradient x
+                _accumulate(weight, _correlate_dw(x.data, g, weight.data, stride, 1, pads, cols))
             if bias is not None and bias.requires_grad:
                 _accumulate(bias, g.sum(axis=(0, 2), keepdims=True))
 

@@ -189,6 +189,25 @@ def test_train_writes_checkpoint_and_log(corpus, capsys):
         "batch_size-zero", "batch_size-fraction", "max_epochs-bool"])
 def test_bad_training_setting_exits_config_code_without_files(corpus, capsys, flags,
                                                               config_line, key):
+    assert_train_exits_config_code(corpus, capsys, flags, config_line, key)
+
+
+@pytest.mark.parametrize("config_line, key", [
+    ("stages = 2.5", "stages"),
+    ("stages = true", "stages"),
+    ("seed = 1.5", "seed"),
+    ("kernel = 5.0", "kernel"),
+    ("encoder_channels = 4.5,4,8", "encoder_channels"),
+], ids=["stages-fraction", "stages-bool", "seed-fraction", "kernel-float",
+        "encoder_channels-fraction"])
+def test_non_integer_model_setting_exits_config_code_without_files(corpus, capsys,
+                                                                   config_line, key):
+    assert_train_exits_config_code(corpus, capsys, [], config_line, key)
+
+
+def assert_train_exits_config_code(corpus, capsys, flags, config_line, key):
+    """``ftnet train`` with ``config_line`` appended to the micro config exits 2
+    naming ``key``, and writes neither checkpoint nor log."""
     cfg = corpus / "bad_train.cfg"
     cfg.write_text(MICRO_CONFIG + config_line + "\n")
     ckpt, log = corpus / "bad.ckpt", corpus / "bad.csv"

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from ftnet import tensor as T
 from ftnet.errors import ConfigError, ShapeError, UsageError
@@ -205,38 +205,43 @@ def test_conv1d_transpose_output_pad_bounds():
         T.conv1d_transpose(x, w, stride=2, output_pad=2)
 
 
-def test_adjoint_identity():
-    """<conv(x), y> == <x, conv_transpose(y)> with shared weights.
+def transpose_case(batch, in_ch, out_ch, length, kernel, stride, pad, output_pad):
+    """A fixed conv1d_transpose geometry, laid out as ``conv1d_transpose_geometry`` draws it."""
+    return {
+        "shapes": ((batch, in_ch, length), (in_ch, out_ch, kernel), (1, out_ch, 1)),
+        "kwargs": {"stride": stride, "pad": pad, "output_pad": output_pad},
+        "seed": 0,
+    }
 
-    This is the defining property of the transpose; it must hold to
-    round-off for every stride/pad combination used by the network.
+
+@settings(max_examples=80, deadline=None)
+@given(geo=conv1d_transpose_geometry().filter(
+    lambda geo: geo["kwargs"]["pad"] >= geo["kwargs"]["output_pad"]))
+@example(geo=transpose_case(2, 4, 3, 16, kernel=11, stride=2, pad=5, output_pad=1))
+@example(geo=transpose_case(1, 3, 2, 16, kernel=3, stride=1, pad=1, output_pad=0))
+@example(geo=transpose_case(2, 2, 1, 8, kernel=5, stride=3, pad=2, output_pad=2))
+def test_adjoint_identity(geo):
+    """<conv1d(x), y> == <x, conv1d_transpose(y)> with shared weights.
+
+    This is the defining property of the transpose. The conv1d weight
+    (C_out, C_in, K), read under the transpose layout (C_in, C_out, K), is
+    exactly the adjoint's weight: no axis swap. The matching conv1d pads
+    (pad, pad - output_pad), so it needs pad >= output_pad; the other case
+    is covered by the naive-oracle and gradient-adjoint tests.
     """
-    cases = [
-        dict(in_shape=(2, 3, 32), out_ch=4, kernel=11, stride=2, pl=5, pr=4),
-        dict(in_shape=(1, 2, 16), out_ch=3, kernel=3, stride=1, pl=1, pr=1),
-        dict(in_shape=(2, 1, 24), out_ch=2, kernel=5, stride=3, pl=2, pr=2),
-    ]
-    for c in cases:
-        x = rand(*c["in_shape"])
-        w = rand(c["out_ch"], c["in_shape"][1], c["kernel"])
-        y_t = T.conv1d(
-            T.Tensor(x), T.Tensor(w), stride=c["stride"],
-            pad_left=c["pl"], pad_right=c["pr"],
-        )
-        y = rand(*y_t.shape)
-        # The conv weight (C_out, C_in, K), read under the transpose layout
-        # (C_in, C_out, K), is exactly the adjoint's weight: no axis swap.
-        length, stride, kernel = x.shape[2], c["stride"], c["kernel"]
-        out_len = y_t.shape[2]
-        output_pad = length - (out_len - 1) * stride + 2 * c["pl"] - kernel
-        back = T.conv1d_transpose(
-            T.Tensor(y), T.Tensor(w), stride=stride,
-            pad=c["pl"], output_pad=output_pad,
-        )
-        assert back.shape == x.shape
-        lhs = float(np.sum(y_t.data * y))
-        rhs = float(np.sum(x * back.data))
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+    y, w, _ = operands(geo)
+    stride, pad, output_pad = (geo["kwargs"][k] for k in ("stride", "pad", "output_pad"))
+    back = T.conv1d_transpose(T.Tensor(y), T.Tensor(w), **geo["kwargs"])
+    x = np.random.default_rng(geo["seed"] + 1).standard_normal(back.shape)
+
+    def conv(x, w):
+        return T.conv1d(T.Tensor(x), T.Tensor(w), stride=stride,
+                        pad_left=pad, pad_right=pad - output_pad).data
+
+    forward = conv(x, w)
+    assert forward.shape == y.shape
+    scale = np.sum(conv(np.abs(x), np.abs(w)) * np.abs(y))
+    assert abs(np.sum(forward * y) - np.sum(x * back.data)) <= 1e-12 * scale
 
 
 def check_gradient_adjoints(op, geo):

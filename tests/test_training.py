@@ -1,6 +1,8 @@
 """Harness behavior: epochs, scheduling, persistence, resume trajectories."""
 
 import errno
+import json
+import struct
 import tracemalloc
 from types import SimpleNamespace
 
@@ -410,6 +412,50 @@ def test_checkpoint_rejects_truncation(tmp_path):
         path.write_bytes(raw[:cut])
         with pytest.raises(FormatError):
             checkpoint_load(path)
+
+
+def rewrite_container(path, edit_header, tail=0):
+    """Rewrite a checkpoint's JSON header with ``edit_header``; a positive
+    ``tail`` appends that many zero bytes, a negative one cuts them."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + header_len])
+    edit_header(header)
+    blob = json.dumps(header).encode()
+    payload = raw[16 + header_len :]
+    payload = payload + bytes(tail) if tail >= 0 else payload[:tail]
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + payload)
+
+
+@pytest.mark.parametrize("edit_header, tail, message", [
+    (lambda h: None, 8, "header promises"),
+    (lambda h: h.update(payload_bytes=h["payload_bytes"] + 8), 8, "trailing payload bytes"),
+    (lambda h: h.update(payload_bytes=h["payload_bytes"] - 8), -8, "truncated payload at"),
+    (lambda h: h["params"][0].update(name="nope"), 0, "does not match the config's layout"),
+    (lambda h: h["params"][0].update(shape=[1, 1, 1]), 0, "stored as"),
+], ids=["payload-length", "trailing", "truncated-entry", "index-name", "index-shape"])
+def test_checkpoint_rejects_a_payload_that_does_not_match_its_index(tmp_path, edit_header,
+                                                                    tail, message):
+    path = tmp_path / "bad.ckpt"
+    checkpoint_save(build_model(micro_config()), TrainState(), path)
+    rewrite_container(path, edit_header, tail)
+    with pytest.raises(FormatError, match=message):
+        checkpoint_load(path)
+
+
+def test_checkpoint_load_holds_little_more_than_the_file_and_the_model(tmp_path):
+    # The file's bytes plus the model they fill: about twice the file size.
+    # A second copy of the payload would push the peak past three times it.
+    config = ModelConfig(frame_len=512, encoder_channels=(8, 8, 16, 32), glu_bottleneck=32)
+    path = tmp_path / "mid.ckpt"
+    checkpoint_save(build_model(config), TrainState(), path)
+    tracemalloc.start()
+    try:
+        checkpoint_load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * path.stat().st_size
 
 
 class DiskFullAfter:
