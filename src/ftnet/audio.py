@@ -33,6 +33,8 @@ def read_wav(path):
         raise FormatError(f"{path}: expected mono, got {channels} channels")
     if width != 2:
         raise FormatError(f"{path}: expected 16-bit samples, got {8 * width}-bit")
+    if len(raw) != 2 * n:
+        raise FormatError(f"{path}: data chunk holds {len(raw)} bytes, header promises {n} samples")
     ints = np.frombuffer(raw, dtype="<i2")
     return ints.astype(np.float64) / PCM_SCALE, rate
 

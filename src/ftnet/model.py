@@ -63,12 +63,12 @@ class ModelConfig:
         self.validate()
 
     def validate(self):
-        for f in fields(self):  # an int default takes an int (no bool); a tuple default, ints
+        for f in fields(self):  # a value has its default's type (a bool is no int); a tuple, ints
             value, tupled = getattr(self, f.name), isinstance(f.default, tuple)
             entries = value if tupled and type(value) is tuple else (value,)
-            if type(f.default) in (int, tuple) and any(type(v) is not int for v in entries):
-                want = "a tuple of integers" if tupled else "an integer"
-                raise ConfigError(f"{f.name} must be {want}, got {value!r}")
+            if any(type(v) is not (int if tupled else type(f.default)) for v in entries):
+                want = {tuple: "a tuple of integers", int: "an integer", bool: "true or false"}
+                raise ConfigError(f"{f.name} must be {want[type(f.default)]}, got {value!r}")
         c = self.encoder_channels
         if len(c) < 2 or any(ch <= 0 for ch in c):
             raise ConfigError(f"encoder_channels needs >= 2 positive entries, got {c}")

@@ -7,7 +7,12 @@ sigmoid/tanh/PReLU, channel concatenation, MAE loss, and an Adam step. Both
 convolutions, forward and backward, run on three private kernels: a
 correlation (pad, im2col gather, one ``np.matmul``), its input adjoint and
 its weight gradient. ``conv1d`` runs them forward; ``conv1d_transpose`` runs
-the adjoint as its forward, so it is conv1d's adjoint by construction.
+the adjoint as its forward, so it is conv1d's adjoint by construction. Each
+backward gathers at most once: a stride-1 conv1d gathers its output
+gradient, and both gradients come from those columns; a strided conv1d, or
+one whose input needs no gradient, gathers its input for the weight
+gradient; conv1d_transpose gathers its output gradient. The im2col window
+is a view on a contiguous buffer whose bounds numpy checks.
 Importing this module pins OpenBLAS to one thread for the process (see
 ``_one_blas_thread``).
 
@@ -23,7 +28,6 @@ places just works.
 import ctypes
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, ShapeError, UsageError
 
@@ -229,6 +233,11 @@ class Parameter:
 # scatter's per-tap read-modify-write (31 of a stage's 35 conv1d calls have
 # stride 1). Strided, it scatters: a stride-1 gather per phase measured
 # 1.3-14x slower on the full-size encoder shapes (wide to narrow channels).
+#
+# A stride-1 conv1d's backward gathers g once, in the adjoint, and takes its
+# weight gradient from those columns: the adjoint's own weight gradient, taps
+# flipped back and channels swapped. The weight gradient's GEMM runs as
+# columns times g transposed, tall and narrow, which is faster at small batch.
 
 
 def _one_blas_thread():
@@ -256,13 +265,17 @@ _one_blas_thread()
 
 
 def _gather(a, kernel, positions, stride, dilation):
-    """(B, C, L) -> (B, C*K, T) with [b, c*K + k, t] = a[b, c, t*stride + k*dilation]."""
-    batch, channels, _ = a.shape
-    s0, s1, s2 = a.strides
-    windows = as_strided(
-        a,
-        shape=(batch, channels, kernel, positions),
-        strides=(s0, s1, s2 * dilation, s2 * stride),
+    """(B, C, L) -> (B, C*K, T) with [b, c*K + k, t] = a[b, c, t*stride + k*dilation].
+
+    The window is a view on ``a``'s contiguous buffer, and numpy checks that
+    the view stays inside it.
+    """
+    a = np.ascontiguousarray(a)
+    batch, channels, length = a.shape
+    item = a.itemsize
+    windows = np.ndarray(
+        (batch, channels, kernel, positions), a.dtype, buffer=a, offset=0,
+        strides=(channels * length * item, length * item, dilation * item, stride * item),
     )
     return windows.reshape(batch, channels * kernel, positions)
 
@@ -308,21 +321,24 @@ def _correlate(a, w, stride, dilation, pads, positions):
 
 
 def _correlate_adjoint(g, w, stride, dilation, pads, length):
-    """Adjoint of ``_correlate`` in ``a`` (``length`` samples); a negative pad zero-fills."""
+    """Adjoint of ``_correlate`` in ``a`` (``length`` samples); a negative pad zero-fills.
+
+    Returns it and, at stride 1, the columns of ``g`` it gathered (else None).
+    """
     if stride == 1:  # a full correlation of g with the flipped, channel-swapped kernel
         reach = dilation * (w.shape[2] - 1)
         flipped = w[:, :, ::-1].transpose(1, 0, 2)
-        return _correlate(g, flipped, 1, dilation, (reach - pads[0], reach - pads[1]), length)[0]
+        return _correlate(g, flipped, 1, dilation, (reach - pads[0], reach - pads[1]), length)
     spread = np.matmul(w.reshape(w.shape[0], -1).T, g)
     full = _scatter(spread, length + sum(pads), w.shape[2], stride, dilation)
-    return _pad(full, -pads[0], -pads[1])
+    return _pad(full, -pads[0], -pads[1]), None
 
 
 def _correlate_dw(g, a, w, stride, dilation, pads, cols=None):
     """Gradient of ``_correlate`` in ``w``; ``cols`` are ``a``'s columns, if at hand."""
     if cols is None:
         cols = _gather(_pad(a, *pads), w.shape[2], g.shape[2], stride, dilation)
-    return np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    return np.matmul(cols, g.transpose(0, 2, 1)).sum(axis=0).T.reshape(w.shape)
 
 
 def conv1d(x, weight, bias=None, *, stride=1, dilation=1, pad_left=0, pad_right=0):
@@ -354,12 +370,20 @@ def conv1d(x, weight, bias=None, *, stride=1, dilation=1, pad_left=0, pad_right=
 
         def backprop():
             g = out.grad
+            cols = None
+            if x.requires_grad:
+                dx, cols = _correlate_adjoint(g, weight.data, stride, dilation, pads, length)
+                _accumulate(x, dx)
+                del dx  # not held through the weight gradient's GEMM
             if weight.requires_grad:
-                _accumulate(weight, _correlate_dw(g, x.data, weight.data, stride, dilation, pads))
+                if cols is None:
+                    _accumulate(weight, _correlate_dw(g, x.data, weight.data, stride, dilation, pads))
+                else:  # from g's columns: the adjoint's weight gradient, flipped back
+                    swapped = weight.data.transpose(1, 0, 2)
+                    dw = _correlate_dw(x.data, g, swapped, 1, dilation, None, cols)
+                    _accumulate(weight, dw[:, :, ::-1].transpose(1, 0, 2))
             if bias is not None and bias.requires_grad:
                 _accumulate(bias, g.sum(axis=(0, 2), keepdims=True))
-            if x.requires_grad:
-                _accumulate(x, _correlate_adjoint(g, weight.data, stride, dilation, pads, length))
 
         out._backward_fn = backprop
     return out
@@ -384,7 +408,7 @@ def conv1d_transpose(x, weight, bias=None, *, stride=1, pad=0, output_pad=0):
         raise ShapeError(f"transposed output length {out_len} is not positive")
     pads = (pad, pad - output_pad)
 
-    out_data = _correlate_adjoint(x.data, weight.data, stride, 1, pads, out_len)
+    out_data = _correlate_adjoint(x.data, weight.data, stride, 1, pads, out_len)[0]
     if bias is not None:
         out_data = out_data + bias.data
 

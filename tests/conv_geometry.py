@@ -1,20 +1,33 @@
 """Hypothesis strategies drawing small, valid convolution geometries.
 
 Each strategy yields the operand shapes, the op's keyword arguments
-(stride, dilation, padding) and a seed for the operand values, so property
-tests can compare the fast kernels with the loop oracles under random
-geometry instead of a few fixed shapes. The keyword names are shared by
+(stride, dilation, padding), a seed for the operand values and a memory
+layout, so property tests can compare the fast kernels with the loop
+oracles under random geometry instead of a few fixed shapes, on views as
+well as on contiguous arrays. The keyword names are shared by
 ``ftnet.tensor`` and the oracles.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 
+LAYOUTS = ("contiguous", "channel-strided", "reversed-length")
+
 
 def operands(geo):
-    """Seeded standard-normal input, weight and bias for a drawn geometry."""
+    """Seeded standard-normal input, weight and bias for a drawn geometry.
+
+    The values do not depend on the layout. A channel-strided operand is
+    every other channel of a twice-as-wide array; a reversed-length one is
+    a backwards view of a reversed copy.
+    """
     rng = np.random.default_rng(geo["seed"])
-    return tuple(rng.standard_normal(shape) for shape in geo["shapes"])
+    arrays = tuple(rng.standard_normal(shape) for shape in geo["shapes"])
+    if geo["layout"] == "channel-strided":
+        return tuple(np.repeat(a, 2, axis=1)[:, ::2] for a in arrays)
+    if geo["layout"] == "reversed-length":
+        return tuple(np.ascontiguousarray(a[:, :, ::-1])[:, :, ::-1] for a in arrays)
+    return arrays
 
 
 @st.composite
@@ -35,6 +48,7 @@ def conv1d_geometry(draw):
             "pad_right": pad_right,
         },
         "seed": draw(st.integers(0, 2**32 - 1)),
+        "layout": draw(st.sampled_from(LAYOUTS)),
     }
 
 
@@ -55,4 +69,5 @@ def conv1d_transpose_geometry(draw):
             "output_pad": output_pad,
         },
         "seed": draw(st.integers(0, 2**32 - 1)),
+        "layout": draw(st.sampled_from(LAYOUTS)),
     }

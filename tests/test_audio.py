@@ -96,6 +96,15 @@ def test_garbage_file_rejected(tmp_path):
         audio.read_wav(path)
 
 
+@pytest.mark.parametrize("cut_bytes", [1, 4], ids=["mid-sample", "whole-samples"])
+def test_data_chunk_shorter_than_its_header_rejected(tmp_path, cut_bytes):
+    path = tmp_path / "cut.wav"
+    audio.write_wav(path, np.linspace(-0.5, 0.5, 10))
+    path.write_bytes(path.read_bytes()[:-cut_bytes])  # the header still says 10 samples
+    with pytest.raises(FormatError, match="header promises 10 samples"):
+        audio.read_wav(path)
+
+
 def test_write_rejects_matrix_input(tmp_path):
     with pytest.raises(UsageError):
         audio.write_wav(tmp_path / "x.wav", np.zeros((2, 3)))

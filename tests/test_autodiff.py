@@ -104,6 +104,27 @@ def test_conv1d_transpose_gradients_for_any_geometry(geo):
     check_against_random_cotangent(T.conv1d_transpose, geo)
 
 
+@pytest.mark.parametrize("stride, x_grad, gathered", [
+    (1, True, [4]),  # g's columns serve both gradients
+    (2, True, [3]),  # strided: x's columns; the input gradient scatters
+    (1, False, [3]),  # no input gradient, so no g columns to reuse
+], ids=["stride-1", "strided", "no-grad-input"])
+def test_conv1d_backward_gathers_once(monkeypatch, stride, x_grad, gathered):
+    x = T.Tensor(rand(2, 3, 12), requires_grad=x_grad)
+    w = T.Tensor(rand(4, 3, 3), requires_grad=True)
+    loss = T.conv1d(x, w, stride=stride, pad_left=1, pad_right=1).sum()
+    channels, gather = [], T._gather
+
+    def spy(a, *args):
+        channels.append(a.shape[1])
+        return gather(a, *args)
+
+    monkeypatch.setattr(T, "_gather", spy)
+    loss.backward()
+    assert channels == gathered  # 3: x's channels, 4: the output gradient's
+    assert w.grad is not None and (x.grad is not None) == x_grad
+
+
 def test_sigmoid_gradients():
     def f(xt):
         return T.sigmoid(xt).sum()

@@ -198,8 +198,10 @@ def test_bad_training_setting_exits_config_code_without_files(corpus, capsys, fl
     ("seed = 1.5", "seed"),
     ("kernel = 5.0", "kernel"),
     ("encoder_channels = 4.5,4,8", "encoder_channels"),
+    ("standard_gru_update = no", "standard_gru_update"),
+    ("standard_gru_update = 1", "standard_gru_update"),
 ], ids=["stages-fraction", "stages-bool", "seed-fraction", "kernel-float",
-        "encoder_channels-fraction"])
+        "encoder_channels-fraction", "standard_gru_update-text", "standard_gru_update-int"])
 def test_non_integer_model_setting_exits_config_code_without_files(corpus, capsys,
                                                                    config_line, key):
     assert_train_exits_config_code(corpus, capsys, [], config_line, key)

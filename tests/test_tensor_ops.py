@@ -211,6 +211,7 @@ def transpose_case(batch, in_ch, out_ch, length, kernel, stride, pad, output_pad
         "shapes": ((batch, in_ch, length), (in_ch, out_ch, kernel), (1, out_ch, 1)),
         "kwargs": {"stride": stride, "pad": pad, "output_pad": output_pad},
         "seed": 0,
+        "layout": "contiguous",
     }
 
 
