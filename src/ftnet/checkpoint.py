@@ -80,13 +80,21 @@ def checkpoint_save(params, state, path):
         raise
 
 
+def _index_entry(entry):
+    """(name, shape, step_count) of one parameter index entry."""
+    name, shape, steps = entry["name"], tuple(int(s) for s in entry["shape"]), entry["step_count"]
+    if type(steps) is not int or steps < 0:
+        raise ValueError(f"{name}: step_count {steps!r} is not a count")
+    return name, shape, steps
+
+
 def checkpoint_load(path):
     """Read a container back into (FTNetParams, TrainState).
 
     Any structural problem (bad magic, unknown version, truncation, a
-    config or train state that fails its invariants, index not matching
-    the config's parameter set) raises FormatError without returning
-    partial state.
+    config, train state or index entry that fails its invariants, index not
+    matching the config's parameter set) raises FormatError without
+    returning partial state.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -105,7 +113,7 @@ def checkpoint_load(path):
         if version == 1:  # written before checkpoints recorded the training rate
             train_state = {**train_state, "sample_rate": None}
         state = TrainState.from_dict(train_state)
-        index = header["params"]
+        index = [_index_entry(entry) for entry in header["params"]]
         payload_bytes = int(header["payload_bytes"])
     except (ConfigError, ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: malformed header ({exc})") from None
@@ -119,24 +127,21 @@ def checkpoint_load(path):
     # model's arrays: no second copy of the payload.
     params = build_model(config)
     names = params.names()
-    if [entry.get("name") for entry in index] != names:
+    if [name for name, _, _ in index] != names:
         raise FormatError(f"{path}: parameter index does not match the config's layout")
     offset = start
-    for entry in index:
-        p = params[entry["name"]]
-        shape = tuple(int(s) for s in entry["shape"])
+    for name, shape, steps in index:
+        p = params[name]
         if shape != p.tensor.shape:
-            raise FormatError(
-                f"{path}: {entry['name']} stored as {shape}, expected {p.tensor.shape}"
-            )
+            raise FormatError(f"{path}: {name} stored as {shape}, expected {p.tensor.shape}")
         count = int(np.prod(shape))
         span = count * 8
         if offset + 3 * span > len(raw):
-            raise FormatError(f"{path}: truncated payload at {entry['name']}")
+            raise FormatError(f"{path}: truncated payload at {name}")
         for target in (p.tensor.data, p.m, p.v):
             target[...] = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
             offset += span
-        p.step_count = int(entry["step_count"])
+        p.step_count = steps
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing payload bytes")
     return params, state

@@ -187,6 +187,14 @@ def _load_manifest_pairs(args, train, seed):
 
 def cmd_synth(args):
     """Generate a desk-scale corpus of clean tones and noise beds."""
+    if args.n_clean < 0 or args.n_noise < 0:
+        raise ConfigError(f"clip counts must be >= 0, got {args.n_clean} clean, {args.n_noise} noise")
+    if args.sample_rate < 1:
+        raise ConfigError(f"sample rate must be >= 1 Hz, got {args.sample_rate}")
+    for key in ("clean_seconds", "noise_seconds"):
+        samples = getattr(args, key) * args.sample_rate
+        if not (math.isfinite(samples) and round(samples) >= 1):
+            raise ConfigError(f"{key} {getattr(args, key)} is under one sample at {args.sample_rate} Hz")
     out = pathlib.Path(args.out_dir)
     clean_dir, noise_dir = out / "clean", out / "noise"
     clean_dir.mkdir(parents=True, exist_ok=True)

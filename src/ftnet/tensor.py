@@ -16,8 +16,11 @@ is a view on a contiguous buffer whose bounds numpy checks.
 Importing this module pins OpenBLAS to one thread for the process (see
 ``_one_blas_thread``).
 
-Gradients are recorded with closures on the output tensor (one closure per
-op) and propagated by a topological sweep in ``Tensor.backward``, which
+Every op builds its result through one helper, ``_op``, handing it the
+result's data, the op's inputs and a ``backward(g)`` that turns the result's
+gradient into the inputs' gradients. The helper records that closure on the
+result only when grad mode is on and an input needs a gradient. Gradients
+are propagated by a topological sweep in ``Tensor.backward``, which
 consumes the graph as it goes: a graph is backpropagated once, and each
 node, with its data and gradient, is released as soon as the sweep has
 passed it. Convolution closures keep their input tensor, not a padded copy
@@ -135,14 +138,10 @@ class Tensor:
 
     def sum(self):
         """Sum over all elements, as a scalar tensor."""
-        out = _make_result(self.data.sum().reshape(1, 1, 1), (self,))
-        if out.requires_grad:
-
-            def backprop():
-                _accumulate(self, np.broadcast_to(out.grad.reshape(()), self.data.shape))
-
-            out._backward_fn = backprop
-        return out
+        return _op(
+            self.data.sum().reshape(1, 1, 1), (self,),
+            lambda g: _accumulate(self, np.broadcast_to(g.reshape(()), self.data.shape)),
+        )
 
     def __add__(self, other):
         return add(self, other)
@@ -189,11 +188,18 @@ def _accumulate(tensor, grad):
         tensor.grad += grad
 
 
-def _make_result(data, parents):
+def _op(data, parents, backward):
+    """An op's result tensor; records ``backward(g)`` if a parent needs a gradient.
+
+    ``backward`` receives the result's gradient ``g`` and accumulates each
+    parent's gradient from it. Under ``no_grad``, or when no parent requires
+    a gradient, nothing is recorded.
+    """
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
+        out._parents = parents
+        out._backward_fn = lambda: backward(out.grad)
     return out
 
 
@@ -364,29 +370,23 @@ def conv1d(x, weight, bias=None, *, stride=1, dilation=1, pad_left=0, pad_right=
     if bias is not None:
         out_data += bias.data
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = _make_result(out_data, parents)
-    if out.requires_grad:
+    def backprop(g):
+        cols = None
+        if x.requires_grad:
+            dx, cols = _correlate_adjoint(g, weight.data, stride, dilation, pads, length)
+            _accumulate(x, dx)
+            del dx  # not held through the weight gradient's GEMM
+        if weight.requires_grad:
+            if cols is None:
+                _accumulate(weight, _correlate_dw(g, x.data, weight.data, stride, dilation, pads))
+            else:  # from g's columns: the adjoint's weight gradient, flipped back
+                swapped = weight.data.transpose(1, 0, 2)
+                dw = _correlate_dw(x.data, g, swapped, 1, dilation, None, cols)
+                _accumulate(weight, dw[:, :, ::-1].transpose(1, 0, 2))
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g.sum(axis=(0, 2), keepdims=True))
 
-        def backprop():
-            g = out.grad
-            cols = None
-            if x.requires_grad:
-                dx, cols = _correlate_adjoint(g, weight.data, stride, dilation, pads, length)
-                _accumulate(x, dx)
-                del dx  # not held through the weight gradient's GEMM
-            if weight.requires_grad:
-                if cols is None:
-                    _accumulate(weight, _correlate_dw(g, x.data, weight.data, stride, dilation, pads))
-                else:  # from g's columns: the adjoint's weight gradient, flipped back
-                    swapped = weight.data.transpose(1, 0, 2)
-                    dw = _correlate_dw(x.data, g, swapped, 1, dilation, None, cols)
-                    _accumulate(weight, dw[:, :, ::-1].transpose(1, 0, 2))
-            if bias is not None and bias.requires_grad:
-                _accumulate(bias, g.sum(axis=(0, 2), keepdims=True))
-
-        out._backward_fn = backprop
-    return out
+    return _op(out_data, (x, weight) if bias is None else (x, weight, bias), backprop)
 
 
 def conv1d_transpose(x, weight, bias=None, *, stride=1, pad=0, output_pad=0):
@@ -412,24 +412,18 @@ def conv1d_transpose(x, weight, bias=None, *, stride=1, pad=0, output_pad=0):
     if bias is not None:
         out_data = out_data + bias.data
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = _make_result(out_data, parents)
-    if out.requires_grad:
+    def backprop(g):
+        cols = None
+        if x.requires_grad:
+            dx, cols = _correlate(g, weight.data, stride, 1, pads, length)
+            _accumulate(x, dx)
+            del dx  # not held through the weight gradient's GEMM
+        if weight.requires_grad:  # that conv1d's input is g, its output gradient x
+            _accumulate(weight, _correlate_dw(x.data, g, weight.data, stride, 1, pads, cols))
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g.sum(axis=(0, 2), keepdims=True))
 
-        def backprop():
-            g = out.grad
-            cols = None
-            if x.requires_grad:
-                dx, cols = _correlate(g, weight.data, stride, 1, pads, length)
-                _accumulate(x, dx)
-                del dx  # not held through the weight gradient's GEMM
-            if weight.requires_grad:  # that conv1d's input is g, its output gradient x
-                _accumulate(weight, _correlate_dw(x.data, g, weight.data, stride, 1, pads, cols))
-            if bias is not None and bias.requires_grad:
-                _accumulate(bias, g.sum(axis=(0, 2), keepdims=True))
-
-        out._backward_fn = backprop
-    return out
+    return _op(out_data, (x, weight) if bias is None else (x, weight, bias), backprop)
 
 
 # ---------------------------------------------------------------------------
@@ -440,26 +434,12 @@ def sigmoid(x):
     """Logistic function, evaluated without overflow on either tail."""
     e = np.exp(-np.abs(x.data))
     y = np.where(x.data >= 0, 1.0, e) / (1.0 + e)
-    out = _make_result(y, (x,))
-    if out.requires_grad:
-
-        def backprop():
-            _accumulate(x, out.grad * y * (1.0 - y))
-
-        out._backward_fn = backprop
-    return out
+    return _op(y, (x,), lambda g: _accumulate(x, g * y * (1.0 - y)))
 
 
 def tanh(x):
     y = np.tanh(x.data)
-    out = _make_result(y, (x,))
-    if out.requires_grad:
-
-        def backprop():
-            _accumulate(x, out.grad * (1.0 - y * y))
-
-        out._backward_fn = backprop
-    return out
+    return _op(y, (x,), lambda g: _accumulate(x, g * (1.0 - y * y)))
 
 
 def prelu(x, slopes):
@@ -471,19 +451,15 @@ def prelu(x, slopes):
         raise ConfigError(f"prelu slopes shape {slopes.data.shape} does not match (1, {channels}, 1)")
     negative = x.data < 0
     y = np.where(negative, slopes.data * x.data, x.data)
-    out = _make_result(y, (x, slopes))
-    if out.requires_grad:
 
-        def backprop():
-            g = out.grad
-            if x.requires_grad:
-                _accumulate(x, np.where(negative, slopes.data, 1.0) * g)
-            if slopes.requires_grad:
-                contrib = np.where(negative, x.data, 0.0) * g
-                _accumulate(slopes, contrib.sum(axis=(0, 2), keepdims=True))
+    def backprop(g):
+        if x.requires_grad:
+            _accumulate(x, np.where(negative, slopes.data, 1.0) * g)
+        if slopes.requires_grad:
+            contrib = np.where(negative, x.data, 0.0) * g
+            _accumulate(slopes, contrib.sum(axis=(0, 2), keepdims=True))
 
-        out._backward_fn = backprop
-    return out
+    return _op(y, (x, slopes), backprop)
 
 
 def _require_same_shape(a, b, op):
@@ -493,41 +469,32 @@ def _require_same_shape(a, b, op):
 
 def add(a, b):
     _require_same_shape(a, b, "add")
-    out = _make_result(a.data + b.data, (a, b))
-    if out.requires_grad:
 
-        def backprop():
-            _accumulate(a, out.grad)
-            _accumulate(b, out.grad)
+    def backprop(g):
+        _accumulate(a, g)
+        _accumulate(b, g)
 
-        out._backward_fn = backprop
-    return out
+    return _op(a.data + b.data, (a, b), backprop)
 
 
 def sub(a, b):
     _require_same_shape(a, b, "sub")
-    out = _make_result(a.data - b.data, (a, b))
-    if out.requires_grad:
 
-        def backprop():
-            _accumulate(a, out.grad)
-            _accumulate(b, -out.grad)
+    def backprop(g):
+        _accumulate(a, g)
+        _accumulate(b, -g)
 
-        out._backward_fn = backprop
-    return out
+    return _op(a.data - b.data, (a, b), backprop)
 
 
 def mul(a, b):
     _require_same_shape(a, b, "mul")
-    out = _make_result(a.data * b.data, (a, b))
-    if out.requires_grad:
 
-        def backprop():
-            _accumulate(a, out.grad * b.data)
-            _accumulate(b, out.grad * a.data)
+    def backprop(g):
+        _accumulate(a, g * b.data)
+        _accumulate(b, g * a.data)
 
-        out._backward_fn = backprop
-    return out
+    return _op(a.data * b.data, (a, b), backprop)
 
 
 def concat_channels(a, b):
@@ -535,48 +502,39 @@ def concat_channels(a, b):
     if a.data.shape[0] != b.data.shape[0] or a.data.shape[2] != b.data.shape[2]:
         raise ShapeError(f"concat_channels: batch/length mismatch {a.data.shape} vs {b.data.shape}")
     split = a.data.shape[1]
-    out = _make_result(np.concatenate([a.data, b.data], axis=1), (a, b))
-    if out.requires_grad:
 
-        def backprop():
-            _accumulate(a, out.grad[:, :split, :])
-            _accumulate(b, out.grad[:, split:, :])
+    def backprop(g):
+        _accumulate(a, g[:, :split, :])
+        _accumulate(b, g[:, split:, :])
 
-        out._backward_fn = backprop
-    return out
+    return _op(np.concatenate([a.data, b.data], axis=1), (a, b), backprop)
 
 
 def mae_loss(pred, target):
     """Mean absolute error over all elements; subgradient 0 at exact ties."""
     _require_same_shape(pred, target, "mae_loss")
     diff = pred.data - target.data
-    value = np.abs(diff).mean().reshape(1, 1, 1)
-    out = _make_result(value, (pred, target))
-    if out.requires_grad:
 
-        def backprop():
-            g = out.grad.reshape(()) * np.sign(diff) / diff.size
-            _accumulate(pred, g)
-            _accumulate(target, -g)
+    def backprop(g):
+        dpred = g.reshape(()) * np.sign(diff) / diff.size
+        _accumulate(pred, dpred)
+        _accumulate(target, -dpred)
 
-        out._backward_fn = backprop
-    return out
+    return _op(np.abs(diff).mean().reshape(1, 1, 1), (pred, target), backprop)
 
 
 # ---------------------------------------------------------------------------
 # optimizer
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the usual Adam defaults (Kingma & Ba)
 
-def adam_step(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+
+def adam_step(params, lr):
     """One bias-corrected Adam update over ``params``; clears gradients after.
 
-    ``params`` is any iterable of Parameter (a mapping's .values() works).
-    Every parameter must hold a gradient, checked before any state mutates.
+    ``params`` is an iterable of Parameter. Every parameter must hold a
+    gradient, checked before any state mutates.
     """
-    if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-        raise ConfigError(f"betas must lie in (0, 1), got {beta1}, {beta2}")
-    if hasattr(params, "values"):
-        params = params.values()
     params = list(params)
     for p in params:
         if p.tensor.grad is None:
@@ -584,11 +542,11 @@ def adam_step(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     for p in params:
         g = p.tensor.grad
         p.step_count += 1
-        p.m *= beta1
-        p.m += (1.0 - beta1) * g
-        p.v *= beta2
-        p.v += (1.0 - beta2) * (g * g)
-        m_hat = p.m / (1.0 - beta1**p.step_count)
-        v_hat = p.v / (1.0 - beta2**p.step_count)
-        p.tensor.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.m *= BETA1
+        p.m += (1.0 - BETA1) * g
+        p.v *= BETA2
+        p.v += (1.0 - BETA2) * (g * g)
+        m_hat = p.m / (1.0 - BETA1**p.step_count)
+        v_hat = p.v / (1.0 - BETA2**p.step_count)
+        p.tensor.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
         p.tensor.grad = None

@@ -80,13 +80,6 @@ def test_missing_gradient_fails_before_any_update():
     assert p1.step_count == 0
 
 
-def test_accepts_mapping_of_parameters():
-    p = make_param("w", [1.0])
-    p.tensor.grad = np.ones((1, 1, 1))
-    T.adam_step({"w": p}, lr=0.1)
-    assert p.step_count == 1
-
-
 def test_converges_on_quadratic():
     # Minimize (w - 3)^2 by autodiff gradients; Adam should land near 3.
     p = make_param("w", [0.0])

@@ -239,12 +239,41 @@ def test_backward_rejects_non_scalar():
         (x + x).backward()
 
 
-def test_no_grad_blocks_graph_recording():
-    x = T.Tensor(np.array([1.0]), requires_grad=True)
-    with T.no_grad():
-        y = T.mul(x, x)
+# Every public op, called on tensors that ``make(shape)`` builds.
+OPS = {
+    "sum": lambda make: make(1, 2, 4).sum(),
+    "conv1d": lambda make: T.conv1d(make(1, 2, 4), make(3, 2, 3), make(1, 3, 1)),
+    "conv1d_transpose": lambda make: T.conv1d_transpose(make(1, 2, 4), make(2, 3, 3), make(1, 3, 1)),
+    "sigmoid": lambda make: T.sigmoid(make(1, 2, 4)),
+    "tanh": lambda make: T.tanh(make(1, 2, 4)),
+    "prelu": lambda make: T.prelu(make(1, 2, 4), make(1, 2, 1)),
+    "add": lambda make: T.add(make(1, 2, 4), make(1, 2, 4)),
+    "sub": lambda make: T.sub(make(1, 2, 4), make(1, 2, 4)),
+    "mul": lambda make: T.mul(make(1, 2, 4), make(1, 2, 4)),
+    "concat_channels": lambda make: T.concat_channels(make(1, 2, 4), make(1, 3, 4)),
+    "mae_loss": lambda make: T.mae_loss(make(1, 2, 4), make(1, 2, 4)),
+}
+
+
+def test_graph_recording_cases_cover_every_op():
+    ops = set(T.__all__) - {"Tensor", "Parameter", "no_grad", "adam_step"}
+    assert set(OPS) == ops | {"sum"}
+
+
+@pytest.mark.parametrize("inputs_need_grad", [True, False], ids=["no_grad", "constant_inputs"])
+@pytest.mark.parametrize("op", list(OPS))
+def test_no_grad_blocks_graph_recording(op, inputs_need_grad):
+    def make(*shape):
+        return T.Tensor(rand(*shape), requires_grad=inputs_need_grad)
+
+    if inputs_need_grad:
+        with T.no_grad():
+            y = OPS[op](make)
+    else:
+        y = OPS[op](make)
     assert not y.requires_grad
     assert y._parents == ()
+    assert y._backward_fn is None
 
 
 def test_no_grad_restores_on_exit():

@@ -7,6 +7,8 @@ operations (a few seconds each), so a kernel change that the benchmark
 would refuse fails here first. Results land in the ignored ``.bench_out/``.
 The test runs seed 0, which no documented benchmark round uses (they start
 at seed 1), so it never overwrites or races with a stored benchmark result.
+One traced run (``--trace 1``) checks the tracer's attribution too: every
+op span lands in a layer, and every layer records forward and backward time.
 """
 
 import json
@@ -20,11 +22,11 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_benchmark_gate_passes(workload):
+def run_gate(workload, trace):
+    """One ``--seconds 0`` benchmark run; it must pass its correctness gate."""
     run = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"),
-         "--workload", workload, "--seed", "0", "--seconds", "0"],
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "0", "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert run.stdout.strip(), run.stderr
@@ -32,3 +34,20 @@ def test_benchmark_gate_passes(workload):
     assert result["correct"] is True, run.stderr
     assert result["failed"] == 0, run.stderr
     assert run.returncode == 0
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_gate_passes(workload):
+    run_gate(workload, trace=0)
+
+
+def test_traced_run_attributes_every_span_to_a_layer():
+    run_gate("train_full", trace=1)
+    traced = json.loads((ROOT / ".bench_out" / "result-train_full-seed0-trace1.json").read_text())
+    assert not [span for span in traced["spans"] if span[5] == "(unattributed)"]
+    totals = [k for k in traced["metrics"] if k.startswith("model.") and k.endswith(".total_s")]
+    assert len(totals) == 16  # conv1d_1, conv_rnn, conv1d_2..5, glu_1..6, deconv1d_1..4
+    for key in totals:
+        layer = key[: -len(".total_s")]
+        assert traced["metrics"][f"{layer}.fwd_s"] > 0, layer
+        assert traced["metrics"][f"{layer}.bwd_s"] > 0, layer

@@ -237,6 +237,28 @@ def test_target_seconds_under_one_sample_exits_config_code_without_files(corpus,
     assert not out.exists() and not log.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--clean-seconds", "0", "clean_seconds 0.0 is under one sample"),
+    ("--noise-seconds", "0", "noise_seconds 0.0 is under one sample"),
+    ("--clean-seconds", "0.00001", "clean_seconds 1e-05 is under one sample"),
+    ("--noise-seconds", "nan", "noise_seconds nan is under one sample"),
+    ("--sample-rate", "0", "sample rate must be >= 1 Hz"),
+    ("--sample-rate", "-16000", "sample rate must be >= 1 Hz"),
+    ("--n-clean", "-3", "clip counts must be >= 0"),
+    ("--n-noise", "-1", "clip counts must be >= 0"),
+])
+def test_synth_degenerate_size_exits_config_code_without_files(tmp_path, capsys, flag, value,
+                                                               message):
+    out, manifest = tmp_path / "corpus", tmp_path / "manifest.tsv"
+    argv = ["synth", "--out-dir", str(out), "--n-clean", "2", "--n-noise", "1",
+            "--clean-seconds", "0.1", "--noise-seconds", "0.1", "--emit-manifest", str(manifest)]
+    assert cli.main(argv + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "wrote" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_default_lr_matches_recipe(corpus, capsys):
     # Without an lr override the first epoch must log 0.0002.
     cfg = corpus / "no_lr.cfg"

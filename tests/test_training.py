@@ -443,6 +443,23 @@ def test_checkpoint_rejects_a_payload_that_does_not_match_its_index(tmp_path, ed
         checkpoint_load(path)
 
 
+@pytest.mark.parametrize("edit_header", [
+    lambda h: h["params"][0].pop("step_count"),
+    lambda h: h["params"][0].pop("shape"),
+    lambda h: h["params"][0].update(step_count="x"),
+    lambda h: h["params"].__setitem__(0, list(h["params"][0].values())),
+    lambda h: h.update(params=5),
+    lambda h: h["params"][0].update(step_count=-1),
+], ids=["no-step-count", "no-shape", "step-count-text", "entry-a-list", "params-a-number",
+        "negative-step-count"])
+def test_checkpoint_rejects_a_malformed_index_entry(tmp_path, edit_header):
+    path = tmp_path / "bad.ckpt"
+    checkpoint_save(build_model(micro_config()), TrainState(), path)
+    rewrite_container(path, edit_header)
+    with pytest.raises(FormatError, match="malformed header"):
+        checkpoint_load(path)
+
+
 def test_checkpoint_load_holds_little_more_than_the_file_and_the_model(tmp_path):
     # The file's bytes plus the model they fill: about twice the file size.
     # A second copy of the payload would push the peak past three times it.
