@@ -8,6 +8,7 @@ Errors map to stable exit codes per category (see EXIT_CODES).
 import argparse
 import json
 import math
+import os
 import pathlib
 import sys
 import time
@@ -36,7 +37,7 @@ from .mixer import (
     synth_noise,
 )
 from .model import ModelConfig, build_model, multistage_forward, analyze_structure
-from .training import LOG_HEADER, TrainState, fit, format_log_row
+from .training import BATCH_SIZE, LOG_HEADER, LR, MAX_EPOCHS, TrainState, fit, format_log_row
 
 __all__ = ["main", "EXIT_CODES"]
 
@@ -51,11 +52,11 @@ EXIT_CODES = {
 
 MODEL_KEYS = {f.name for f in fields(ModelConfig)}
 # A setting whose default is an int is a count (>= 1); the others are
-# finite numbers > 0.
+# finite numbers > 0. ftnet.training owns the values it uses.
 TRAIN_DEFAULTS = {
-    "lr": 2e-4,
-    "batch_size": 2,
-    "max_epochs": 50,
+    "lr": LR,
+    "batch_size": BATCH_SIZE,
+    "max_epochs": MAX_EPOCHS,
     "target_seconds": 4.0,
 }
 TRAIN_KEYS = set(TRAIN_DEFAULTS)
@@ -68,8 +69,6 @@ def _parse_scalar(text):
         return True
     if low == "false":
         return False
-    if low in ("none", "null"):
-        return None
     for cast in (int, float):
         try:
             return cast(text)
@@ -199,6 +198,9 @@ def cmd_synth(args):
     clean_dir, noise_dir = out / "clean", out / "noise"
     clean_dir.mkdir(parents=True, exist_ok=True)
     noise_dir.mkdir(parents=True, exist_ok=True)
+    if args.emit_manifest:
+        manifest_dir = pathlib.Path(args.emit_manifest).parent
+        manifest_dir.mkdir(parents=True, exist_ok=True)
     _echo_run("synth", extra={
         "out_dir": str(out), "n_clean": args.n_clean, "n_noise": args.n_noise,
         "clean_seconds": args.clean_seconds, "noise_seconds": args.noise_seconds,
@@ -220,8 +222,8 @@ def cmd_synth(args):
         records = []
         for i, path in enumerate(clean_paths):
             split = "val" if i >= args.n_clean - n_val else "train"
-            rel = path.relative_to(pathlib.Path(args.emit_manifest).parent)
-            records.append(MixRecord(str(rel), float(snrs[i % len(snrs)]), split))
+            rel = os.path.relpath(path, manifest_dir)
+            records.append(MixRecord(rel, float(snrs[i % len(snrs)]), split))
         MixManifest(records).save(args.emit_manifest)
         print(f"wrote {args.emit_manifest} ({len(records)} records)")
     print(f"wrote {args.n_clean} clean and {args.n_noise} noise files under {out}")
@@ -295,25 +297,23 @@ def cmd_train(args):
     return 0
 
 
-def _enhance_frames(params, frames, stages, collect_hidden):
+def _enhance_frames(params, frames, collect_hidden):
     """Run all frames through the network, ``block_frames`` at a time;
     returns per-stage frame arrays plus per-stage hidden maps (stage-major
     lists; no maps unless collect_hidden), in the dtype of the frames and
     weights it is given."""
-    n = frames.shape[0]
     block = params.config.block_frames
-    stage_frames = [[] for _ in range(stages)]
-    stage_hidden = [[] for _ in range(stages)]
+    # Estimates always, hidden maps only when asked: slicing the forward's
+    # result drops a block's maps as soon as the forward returns.
+    wanted = slice(1, 3 if collect_hidden else 2)
+    stage_frames = [[] for _ in range(params.config.stages)]
+    stage_hidden = [[] for _ in range(params.config.stages)]
     with T.no_grad():
-        for lo in range(0, n, block):
-            x = T.Tensor(frames[lo : lo + block])
-            result = multistage_forward(
-                params, x, stages=stages, collect_hidden=collect_hidden
-            )
-            for q in range(stages):
-                stage_frames[q].append(result[1][q].data)
-                if collect_hidden:
-                    stage_hidden[q].append(result[2][q].data)
+        for lo in range(0, len(frames), block):
+            kept = multistage_forward(params, T.Tensor(frames[lo : lo + block]))[wanted]
+            for per_stage, tensors in zip((stage_frames, stage_hidden), kept):
+                for chunks, tensor in zip(per_stage, tensors):
+                    chunks.append(tensor.data)
     return (
         [np.concatenate(chunks) for chunks in stage_frames],
         [np.concatenate(chunks) for chunks in stage_hidden if chunks],
@@ -331,9 +331,9 @@ def cmd_enhance(args):
     start = time.perf_counter()
     params, state = checkpoint_load(args.checkpoint)
     config = params.config
-    stages = args.stages if args.stages is not None else config.stages
-    if stages < 1:
-        raise ConfigError(f"stages must be >= 1, got {stages}")
+    if args.stages is not None:
+        params.config = replace(config, stages=args.stages)
+    stages = params.config.stages
     _echo_run("enhance", config, extra={
         "checkpoint": args.checkpoint, "input": args.infile, "output": args.outfile,
         "run_stages": stages,
@@ -349,8 +349,7 @@ def cmd_enhance(args):
     for p in params.values():
         p.tensor.data = p.tensor.data.astype(np.float32)
     per_stage, hiddens = _enhance_frames(
-        params, batch.frames.astype(np.float32), stages,
-        collect_hidden=bool(args.dump_hidden),
+        params, batch.frames.astype(np.float32), collect_hidden=bool(args.dump_hidden)
     )
 
     def rebuild(frames):

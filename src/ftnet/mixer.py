@@ -31,7 +31,6 @@ __all__ = [
     "mix_at_snr",
     "measure_snr",
     "draw_cut_point",
-    "chunk_or_pad",
     "build_dataset",
     "synth_clean",
     "synth_noise",
@@ -47,10 +46,9 @@ def _energy(x):
 
 @dataclass
 class NoiseBank:
-    """All noise audio end to end in one vector, with source boundaries."""
+    """All noise audio end to end in one vector."""
 
     samples: np.ndarray
-    boundaries: tuple
     seed: int = 0
     sample_rate: int = 16000
 
@@ -67,11 +65,7 @@ class NoiseBank:
         clips = [np.asarray(c, dtype=np.float64) for c in clips]
         if not clips or any(c.size == 0 for c in clips):
             raise UsageError("noise bank needs at least one non-empty clip")
-        starts, offset = [], 0
-        for c in clips:
-            starts.append(offset)
-            offset += c.size
-        return cls(np.concatenate(clips), tuple(starts), seed, sample_rate)
+        return cls(np.concatenate(clips), seed, sample_rate)
 
     @classmethod
     def from_dir(cls, noise_dir, seed=0):
@@ -273,14 +267,6 @@ def _draw_crop_start(n, target_len, rng):
     if n <= target_len:
         return 0
     return int(rng.integers(0, n - target_len + 1))
-
-
-def chunk_or_pad(clip, rng, target_len):
-    """Fix a clip's duration: random contiguous crop if long, tail zeros if short."""
-    clip = np.asarray(clip, dtype=np.float64)
-    if clip.ndim != 1 or clip.size == 0:
-        raise UsageError(f"expected a non-empty 1-D clip, got shape {clip.shape}")
-    return _crop_or_pad_at(clip, _draw_crop_start(clip.size, target_len, rng), target_len)
 
 
 @dataclass

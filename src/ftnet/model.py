@@ -24,12 +24,9 @@ from .tensor import Parameter, Tensor
 __all__ = [
     "ModelConfig",
     "FTNetParams",
-    "StageState",
     "ShapeRow",
     "StructureReport",
     "build_model",
-    "initial_state",
-    "srnn_forward",
     "convgru_forward",
     "glu_forward",
     "stage_forward",
@@ -137,14 +134,6 @@ class FTNetParams(dict):
             p.tensor.grad = None
 
 
-@dataclass
-class StageState:
-    """Carry-over between stages: GRU hidden map and previous estimate."""
-
-    hidden: Tensor
-    estimate: Tensor
-
-
 class ShapeRow(NamedTuple):
     name: str
     in_channels: int
@@ -224,15 +213,13 @@ def build_model(config):
     return FTNetParams(config, params)
 
 
-def initial_state(x, config):
-    """State ahead of the first pass: zero hidden, the noisy input as estimate.
+def _zero_hidden(x, config):
+    """GRU state ahead of the first pass for frames x.
 
-    The hidden map takes x's dtype, so a float32 input runs in float32 throughout.
+    The map takes x's dtype, so a float32 input runs in float32 throughout.
     """
-    batch = x.data.shape[0]
-    shape = (batch, config.encoder_channels[0], config.frame_len // 2)
-    hidden = Tensor(np.zeros(shape, dtype=x.data.dtype))
-    return StageState(hidden=hidden, estimate=x)
+    shape = (x.data.shape[0], config.encoder_channels[0], config.frame_len // 2)
+    return Tensor(np.zeros(shape, dtype=x.data.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -296,24 +283,6 @@ def convgru_forward(params, features, hidden):
     return T.add(T.mul(T.sub(one, z), keep), T.mul(z, n))
 
 
-def srnn_forward(params, x, prev_estimate, prev_hidden, trace=None):
-    """Front end: stack input with the fed-back estimate, embed, update the GRU.
-
-    Returns the new hidden map, which doubles as the feature map handed to
-    the encoder and as the state for the next stage.
-    """
-    if x.data.shape != prev_estimate.data.shape:
-        raise ShapeError(
-            f"input {x.data.shape} vs fed-back estimate {prev_estimate.data.shape}"
-        )
-    stacked = T.concat_channels(x, prev_estimate)
-    feats = _conv_block(params, "conv1d_1", stacked, stride=2)
-    _trace(trace, "conv1d_1", stacked, feats)
-    hidden = convgru_forward(params, feats, prev_hidden)
-    _trace(trace, "conv_rnn", feats, hidden)
-    return hidden
-
-
 def glu_forward(params, x, index):
     """Dilated gated residual block ``glu_<index>`` (1-based).
 
@@ -333,18 +302,28 @@ def glu_forward(params, x, index):
     return T.add(x, widened)
 
 
-def stage_forward(params, x, state, trace=None):
-    """One full pass: returns (estimate, new_hidden) for input frames x.
+def stage_forward(params, x, estimate, hidden, trace=None):
+    """One full pass: returns (new estimate, new hidden map) for input frames x.
 
-    x: (B, 1, frame_len). state: carry-over from the previous pass (use
-    ``initial_state`` ahead of the first).
+    x and estimate are (B, 1, frame_len): the noisy frames and the previous
+    pass's estimate (x itself ahead of the first pass). hidden is the GRU
+    state, (B, C0, frame_len/2), zeros ahead of the first pass. The front end
+    stacks x with the estimate, embeds the pair with conv1d_1 and updates the
+    GRU; the new hidden map is both the encoder's input and the next pass's
+    state.
     """
     config = params.config
     if x.data.shape[1] != 1 or x.data.shape[2] != config.frame_len:
         raise ShapeError(
             f"expected (B, 1, {config.frame_len}) input frames, got {x.data.shape}"
         )
-    hidden = srnn_forward(params, x, state.estimate, state.hidden, trace)
+    if x.data.shape != estimate.data.shape:
+        raise ShapeError(f"input {x.data.shape} vs fed-back estimate {estimate.data.shape}")
+    stacked = T.concat_channels(x, estimate)
+    feats = _conv_block(params, "conv1d_1", stacked, stride=2)
+    _trace(trace, "conv1d_1", stacked, feats)
+    hidden = convgru_forward(params, feats, hidden)
+    _trace(trace, "conv_rnn", feats, hidden)
 
     c = config.encoder_channels
     skips = []
@@ -377,31 +356,22 @@ def stage_forward(params, x, state, trace=None):
     return feat, hidden
 
 
-def multistage_forward(params, x, stages=None, *, collect_hidden=False):
-    """Run the stage ``stages`` times with shared weights and feedback.
+def multistage_forward(params, x):
+    """Run the stage ``params.config.stages`` times with shared weights and feedback.
 
-    Returns (final_estimate, per_stage_estimates) where the per-stage list
-    holds detached copies (values only, no graph) of every pass's output,
-    final included. With collect_hidden=True a third list carries detached
-    hidden maps. Only the returned final estimate participates in
-    backpropagation; the loss is taken on it alone.
+    Returns (final, estimates, hiddens): the last pass's estimate, then
+    every pass's estimate and hidden map in pass order, final included.
+    The lists hold detached tensors, which share the arrays (nothing is
+    copied) but carry no graph: only ``final`` participates in
+    backpropagation, and the loss is taken on it alone.
     """
-    if stages is None:
-        stages = params.config.stages
-    if stages < 1:
-        raise ConfigError(f"stages must be >= 1, got {stages}")
-    state = initial_state(x, params.config)
+    estimate, hidden = x, _zero_hidden(x, params.config)
     estimates, hiddens = [], []
-    final = None
-    for _ in range(stages):
-        final, hidden = stage_forward(params, x, state)
-        estimates.append(final.detach())
-        if collect_hidden:
-            hiddens.append(hidden.detach())
-        state = StageState(hidden=hidden, estimate=final)
-    if collect_hidden:
-        return final, estimates, hiddens
-    return final, estimates
+    for _ in range(params.config.stages):
+        estimate, hidden = stage_forward(params, x, estimate, hidden)
+        estimates.append(estimate.detach())
+        hiddens.append(hidden.detach())
+    return estimate, estimates, hiddens
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +384,7 @@ def trace_shapes(params):
     x = Tensor(np.zeros((1, 1, config.frame_len)))
     trace = []
     with T.no_grad():
-        stage_forward(params, x, initial_state(x, config), trace=trace)
+        stage_forward(params, x, x, _zero_hidden(x, config), trace=trace)
     return tuple(trace)
 
 

@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 LOG_HEADER = "epoch,train_mae,val_mae,lr,action"
+LR = 2e-4  # learning rate a run starts at
+BATCH_SIZE = 2  # utterances per minibatch
+MAX_EPOCHS = 50  # epochs after which a run stops in any case
 HALVE_AFTER = 3  # consecutive validation increases that halve the learning rate
 STOP_AFTER = 10  # validation increase events in total that stop the run
 
@@ -47,7 +50,7 @@ class TrainState:
     """
 
     epoch: int = 0
-    lr: float = 2e-4
+    lr: float = LR
     val_history: list = field(default_factory=list)
     consec_increase: int = 0
     total_increase_events: int = 0
@@ -125,7 +128,7 @@ def _block_losses(params, noisy, clean):
     n = len(noisy)
     size = params.config.block_frames
     for lo in range(0, n, size):
-        final, _ = multistage_forward(params, Tensor(noisy[lo : lo + size]))
+        final, _, _ = multistage_forward(params, Tensor(noisy[lo : lo + size]))
         share = Tensor(len(final.data) / n)
         yield mul(mae_loss(final, Tensor(clean[lo : lo + size])), share)
 
@@ -136,7 +139,7 @@ def _require_finite(value, what):
     return value
 
 
-def train_epoch(params, state, train_pairs, *, batch_size=2):
+def train_epoch(params, state, train_pairs, *, batch_size=BATCH_SIZE):
     """One pass over the pairs in seeded shuffled minibatches; returns mean MAE.
 
     Each minibatch frames its utterances, runs the configured number of
@@ -188,7 +191,7 @@ def validate(params, val_pairs):
     return _require_finite(float(np.mean(losses)), "validation loss")
 
 
-def schedule_update(state, new_val_loss, *, max_epochs=50):
+def schedule_update(state, new_val_loss, *, max_epochs=MAX_EPOCHS):
     """Record an epoch's validation loss; returns continue | halve_lr | stop.
 
     An increase event is new_val_loss strictly above the previous epoch's.
@@ -219,7 +222,8 @@ def schedule_update(state, new_val_loss, *, max_epochs=50):
     return action
 
 
-def fit(params, state, train_pairs, val_pairs, *, max_epochs=50, batch_size=2, log_fn=None):
+def fit(params, state, train_pairs, val_pairs, *, max_epochs=MAX_EPOCHS, batch_size=BATCH_SIZE,
+        log_fn=None):
     """Run epochs until the schedule stops; returns (state, epoch log rows).
 
     log_fn(row) runs after every epoch, once params and state hold that

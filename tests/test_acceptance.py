@@ -297,12 +297,12 @@ def test_criterion_05_gradient_suite(capsys):
     params = build_model(cfg)
     x_arr = 0.1 * rng.standard_normal((1, 1, 64))
     t_arr = 0.1 * rng.standard_normal((1, 1, 64))
-    final, _ = multistage_forward(params, Tensor(x_arr))
+    final, _, _ = multistage_forward(params, Tensor(x_arr))
     T.mae_loss(final, Tensor(t_arr)).backward()
 
     def loss_value():
         with T.no_grad():
-            out, _ = multistage_forward(params, Tensor(x_arr))
+            out, _, _ = multistage_forward(params, Tensor(x_arr))
             return T.mae_loss(out, Tensor(t_arr)).item()
 
     step = 1e-5
@@ -342,7 +342,7 @@ def test_criterion_06_overfit(capsys, tmp_path, overfit_run):
     with T.no_grad():
         for i, pair in enumerate(overfit_run.pairs):
             x = Tensor(pair.noisy.reshape(1, 1, -1))
-            final, _ = multistage_forward(overfit_run.params, x)
+            final, _, _ = multistage_forward(overfit_run.params, x)
             clean_p = tmp_path / f"clean_{i}.wav"
             noisy_p = tmp_path / f"noisy_{i}.wav"
             enh_p = tmp_path / f"enh_{i}.wav"
@@ -381,7 +381,7 @@ def test_criterion_07_feedback_monotonicity(capsys, overfit_run):
     with T.no_grad():
         for pair in overfit_run.pairs:
             x = Tensor(pair.noisy.reshape(1, 1, -1))
-            _, estimates = multistage_forward(overfit_run.params, x, stages=3)
+            _, estimates, _ = multistage_forward(overfit_run.params, x)
             base = measure_snr(pair.clean, pair.noisy)
             stage1.append(measure_snr(pair.clean, estimates[0].data.ravel()) - base)
             stage3.append(measure_snr(pair.clean, estimates[2].data.ravel()) - base)

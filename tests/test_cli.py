@@ -97,6 +97,20 @@ def test_mix_sizes_utterances_from_the_corpus_rate(tmp_path, capsys):
         assert clip.size == int(cli.TRAIN_DEFAULTS["target_seconds"] * 8000)
 
 
+def test_synth_manifest_outside_the_corpus_resolves_every_clip(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([
+        "synth", "--out-dir", "c", "--n-clean", "3", "--n-noise", "1",
+        "--clean-seconds", "0.2", "--noise-seconds", "1.0", "--emit-manifest", "nodir/m.tsv",
+    ]) == 0
+    paths = [r.clean_path for r in MixManifest.load("nodir/m.tsv")]
+    assert paths == [f"../c/clean/clean_{i:03d}.wav" for i in range(3)]
+    assert cli.main(["mix", "--manifest", "nodir/m.tsv", "--noise-dir", "c/noise",
+                     "--out-dir", "pairs", "--target-seconds", "0.1"]) == 0
+    capsys.readouterr()
+    assert len(list((tmp_path / "pairs").glob("pair_*_clean.wav"))) == 3
+
+
 def test_sample_rate_is_not_a_setting(corpus, capsys):
     # The rate comes from the corpus; asking for another one fails loudly.
     base = ["--manifest", str(corpus / "manifest.tsv"),
@@ -184,9 +198,10 @@ def test_train_writes_checkpoint_and_log(corpus, capsys):
     (["--batch-size", "0"], "", "batch_size"),
     ([], "batch_size = 1.5", "batch_size"),
     ([], "max_epochs = true", "max_epochs"),
+    ([], "lr = none", "lr"),
 ], ids=["lr-negative", "lr-zero", "lr-nan", "lr-inf", "lr-text", "lr-bool",
         "target_seconds-zero", "target_seconds-negative", "max_epochs-zero",
-        "batch_size-zero", "batch_size-fraction", "max_epochs-bool"])
+        "batch_size-zero", "batch_size-fraction", "max_epochs-bool", "lr-none"])
 def test_bad_training_setting_exits_config_code_without_files(corpus, capsys, flags,
                                                               config_line, key):
     assert_train_exits_config_code(corpus, capsys, flags, config_line, key)
@@ -200,8 +215,10 @@ def test_bad_training_setting_exits_config_code_without_files(corpus, capsys, fl
     ("encoder_channels = 4.5,4,8", "encoder_channels"),
     ("standard_gru_update = no", "standard_gru_update"),
     ("standard_gru_update = 1", "standard_gru_update"),
+    ("stages = none", "stages"),
 ], ids=["stages-fraction", "stages-bool", "seed-fraction", "kernel-float",
-        "encoder_channels-fraction", "standard_gru_update-text", "standard_gru_update-int"])
+        "encoder_channels-fraction", "standard_gru_update-text", "standard_gru_update-int",
+        "stages-none"])
 def test_non_integer_model_setting_exits_config_code_without_files(corpus, capsys,
                                                                    config_line, key):
     assert_train_exits_config_code(corpus, capsys, [], config_line, key)
@@ -321,7 +338,7 @@ def test_float32_enhance_stays_within_one_step_of_float64(corpus, capsys, tmp_pa
     clip, rate = read_wav(src)
     batch = frame_signal(clip, params.config.frame_len, params.config.hop)
     assert batch.frames.dtype == params["conv1d_1.weight"].data.dtype == np.float64
-    per_stage, _ = cli._enhance_frames(params, batch.frames, params.config.stages, False)
+    per_stage, _ = cli._enhance_frames(params, batch.frames, False)
     got, want = [], []
     for q, frames in enumerate(per_stage, start=1):
         ref = tmp_path / f"ref_{q}.wav"
@@ -401,9 +418,9 @@ BLOCKY = build_model(ModelConfig(frame_len=2048, kernel=11, encoder_channels=(16
 def test_enhance_in_blocks_matches_one_whole_batch_pass(n_frames, collect_hidden):
     assert BLOCKY.config.block_frames == 2
     frames = 0.1 * np.random.default_rng(n_frames).standard_normal((n_frames, 1, 2048))
-    per_stage, hiddens = cli._enhance_frames(BLOCKY, frames, 2, collect_hidden)
+    per_stage, hiddens = cli._enhance_frames(BLOCKY, frames, collect_hidden)
     with T.no_grad():
-        _, want, want_hidden = multistage_forward(BLOCKY, T.Tensor(frames), collect_hidden=True)
+        _, want, want_hidden = multistage_forward(BLOCKY, T.Tensor(frames))
     for got, ref in zip(per_stage, want, strict=True):
         np.testing.assert_allclose(got, ref.data, rtol=1e-12)
     if collect_hidden:
@@ -430,9 +447,29 @@ BLOCKY32 = cast_weights(BLOCKY, np.float32)
 def test_enhance_frames_keep_the_dtype_they_are_given(n_frames, dtype):
     params = BLOCKY32 if dtype is np.float32 else BLOCKY
     frames = 0.1 * np.random.default_rng(n_frames).standard_normal((n_frames, 1, 2048))
-    per_stage, hiddens = cli._enhance_frames(params, frames.astype(dtype), 2, True)
+    per_stage, hiddens = cli._enhance_frames(params, frames.astype(dtype), True)
     assert [a.dtype for a in per_stage + hiddens] == [np.dtype(dtype)] * 4
     assert [a.shape[0] for a in per_stage + hiddens] == [n_frames] * 4
+
+
+def test_enhance_stage_override_runs_the_first_passes(corpus, capsys, tmp_path):
+    config = ModelConfig(frame_len=64, hop=32, kernel=3, encoder_channels=(2, 2, 4),
+                         glu_dilations=(1, 2), glu_bottleneck=2, stages=3, seed=3)
+    ckpt = tmp_path / "q3.ckpt"
+    checkpoint_save(build_model(config), TrainState(), ckpt)
+    run = ["enhance", "--checkpoint", str(ckpt),
+           "--in", str(corpus / "corpus" / "clean" / "clean_002.wav")]
+    full, two, none = tmp_path / "full.wav", tmp_path / "two.wav", tmp_path / "none.wav"
+    assert cli.main(run + ["--out", str(full), "--dump-stages", str(tmp_path / "stages")]) == 0
+    capsys.readouterr()
+    assert cli.main(run + ["--out", str(two), "--stages", "2"]) == 0
+    stdout = capsys.readouterr().out
+    assert "config:stages=3" in stdout and "config:run_stages=2" in stdout
+    assert two.read_bytes() == (tmp_path / "stages" / "stage_2.wav").read_bytes()
+    assert two.read_bytes() != full.read_bytes()
+    assert cli.main(run + ["--out", str(none), "--stages", "0"]) == 2
+    assert "error: stages must be >= 1, got 0" in capsys.readouterr().err
+    assert not none.exists()
 
 
 def test_enhance_zero_weights_give_silence(corpus, capsys, tmp_path):

@@ -161,13 +161,24 @@ def test_cut_point_uniformity_chi_square():
 
 
 # ---------------------------------------------------------------------------
-# chunk_or_pad
+# crop or pad to the target length, through build_dataset
+
+
+def quiet_pair(clip, target_len=64_000):
+    """build_dataset's pair for one clip at 10 dB over a constant noise bed,
+    quiet enough that peak normalization leaves the clean target as cut."""
+    bank = mixer.NoiseBank.from_clips([np.ones(100_000)])
+    manifest = mixer.MixManifest([mixer.MixRecord("clip.wav", 10.0, "train")])
+    (pair,) = mixer.build_dataset(manifest, bank, seed=1, target_len=target_len,
+                                  clean_loader=lambda path: (clip, 16000))
+    assert pair.scale == 1.0
+    return pair
 
 
 def test_long_clip_cropped_to_target():
     rng = np.random.default_rng(9)
-    clip = rng.standard_normal(80_000)
-    out = mixer.chunk_or_pad(clip, np.random.default_rng(1), target_len=64_000)
+    clip = 0.1 * rng.standard_normal(80_000)
+    out = quiet_pair(clip).clean
     assert out.size == 64_000
     # The crop must be contiguous: find it in the source.
     starts = np.flatnonzero(np.isclose(clip, out[0]))
@@ -175,16 +186,16 @@ def test_long_clip_cropped_to_target():
 
 
 def test_short_clip_padded_with_tail_zeros():
-    clip = np.ones(48_000)
-    out = mixer.chunk_or_pad(clip, np.random.default_rng(0), target_len=64_000)
-    np.testing.assert_array_equal(out[:48_000], 1.0)
+    clip = np.full(48_000, 0.5)
+    out = quiet_pair(clip).clean
+    np.testing.assert_array_equal(out[:48_000], 0.5)
     np.testing.assert_array_equal(out[48_000:], 0.0)
 
 
 def test_exact_length_clip_unchanged():
     rng = np.random.default_rng(10)
-    clip = rng.standard_normal(64_000)
-    out = mixer.chunk_or_pad(clip, np.random.default_rng(0), target_len=64_000)
+    clip = 0.1 * rng.standard_normal(64_000)
+    out = quiet_pair(clip).clean
     np.testing.assert_array_equal(out, clip)
 
 

@@ -1,5 +1,7 @@
 """Architecture checks: shapes, counts, recurrence, and end-to-end gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,11 @@ def tiny_config(**over):
     )
     base.update(over)
     return M.ModelConfig(**base)
+
+
+def zero_hidden(x, cfg):
+    """The GRU state ahead of the first pass over frames x."""
+    return Tensor(np.zeros((x.shape[0], cfg.encoder_channels[0], cfg.frame_len // 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +159,7 @@ def test_stage_output_matches_input_geometry():
     cfg = tiny_config()
     params = M.build_model(cfg)
     x = Tensor(RNG.standard_normal((3, 1, cfg.frame_len)))
-    est, hidden = M.stage_forward(params, x, M.initial_state(x, cfg))
+    est, hidden = M.stage_forward(params, x, x, zero_hidden(x, cfg))
     assert est.shape == (3, 1, cfg.frame_len)
     assert hidden.shape == (3, cfg.encoder_channels[0], cfg.frame_len // 2)
     assert np.all(np.isfinite(est.data))
@@ -163,7 +170,7 @@ def test_stage_rejects_wrong_length():
     params = M.build_model(cfg)
     x = Tensor(np.zeros((1, 1, cfg.frame_len + 2)))
     with pytest.raises(ShapeError):
-        M.stage_forward(params, x, M.initial_state(x, cfg))
+        M.stage_forward(params, x, x, zero_hidden(x, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +259,7 @@ def test_multistage_returns_one_estimate_per_pass():
     cfg = tiny_config(stages=3)
     params = M.build_model(cfg)
     x = Tensor(RNG.standard_normal((2, 1, cfg.frame_len)))
-    final, estimates, hiddens = M.multistage_forward(params, x, collect_hidden=True)
+    final, estimates, hiddens = M.multistage_forward(params, x)
     assert len(estimates) == 3 and len(hiddens) == 3
     np.testing.assert_array_equal(final.data, estimates[-1].data)
     for est in estimates:
@@ -266,16 +273,16 @@ def test_multistage_single_stage_equals_stage_forward():
     cfg = tiny_config(stages=1)
     params = M.build_model(cfg)
     x = Tensor(RNG.standard_normal((1, 1, cfg.frame_len)))
-    final, _ = M.multistage_forward(params, x)
-    direct, _ = M.stage_forward(params, x, M.initial_state(x, cfg))
+    final, _, _ = M.multistage_forward(params, x)
+    direct, _ = M.stage_forward(params, x, x, zero_hidden(x, cfg))
     np.testing.assert_array_equal(final.data, direct.data)
 
 
 def test_multistage_is_deterministic():
     cfg = tiny_config()
     x = np.sin(np.arange(cfg.frame_len) / 5.0).reshape(1, 1, -1)
-    a, _ = M.multistage_forward(M.build_model(cfg), Tensor(x))
-    b, _ = M.multistage_forward(M.build_model(cfg), Tensor(x))
+    a, _, _ = M.multistage_forward(M.build_model(cfg), Tensor(x))
+    b, _, _ = M.multistage_forward(M.build_model(cfg), Tensor(x))
     np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -285,12 +292,13 @@ def test_stages_share_weights_and_grads_flow_through_all():
     x = Tensor(RNG.standard_normal((1, 1, cfg.frame_len)))
     target = Tensor(RNG.standard_normal((1, 1, cfg.frame_len)))
 
-    final, _ = M.multistage_forward(params, x, stages=1)
+    # One pass over the very same parameter objects.
+    final, _, _ = M.multistage_forward(M.FTNetParams(replace(cfg, stages=1), params), x)
     T.mae_loss(final, target).backward()
     single = {n: params[n].grad.copy() for n in params.names()}
     params.zero_grad()
 
-    final, _ = M.multistage_forward(params, x, stages=2)
+    final, _, _ = M.multistage_forward(params, x)
     T.mae_loss(final, target).backward()
     double = {n: params[n].grad.copy() for n in params.names()}
 
@@ -304,7 +312,7 @@ def test_intermediate_estimates_cannot_leak_gradients():
     cfg = tiny_config(stages=2)
     params = M.build_model(cfg)
     x = Tensor(RNG.standard_normal((1, 1, cfg.frame_len)))
-    _, estimates = M.multistage_forward(params, x)
+    _, estimates, _ = M.multistage_forward(params, x)
     loss = T.mul(estimates[0], estimates[0]).sum()
     loss.backward()
     assert all(params[n].grad is None for n in params.names())
@@ -340,12 +348,12 @@ def test_multistage_gradients_match_finite_differences():
     x_arr = 0.1 * RNG.standard_normal((1, 1, cfg.frame_len))
     t_arr = 0.1 * RNG.standard_normal((1, 1, cfg.frame_len))
 
-    final, _ = M.multistage_forward(params, Tensor(x_arr))
+    final, _, _ = M.multistage_forward(params, Tensor(x_arr))
     T.mae_loss(final, Tensor(t_arr)).backward()
 
     def loss_value():
         with T.no_grad():
-            out, _ = M.multistage_forward(params, Tensor(x_arr))
+            out, _, _ = M.multistage_forward(params, Tensor(x_arr))
             return T.mae_loss(out, Tensor(t_arr)).item()
 
     probe = np.random.default_rng(0)
