@@ -288,7 +288,8 @@ def build_dataset(manifest, bank, seed=None, *, target_len, clean_loader=None):
     start, then the noise cut point, so adding records never shifts
     earlier draws. Records that already carry offsets use them verbatim;
     the yielded record always has both filled in. A clean clip whose
-    sample rate differs from the bank's raises FormatError.
+    sample rate differs from the bank's, or a carried offset outside the
+    range its draw covers, raises FormatError naming the record.
     """
     if seed is None:
         seed = bank.seed
@@ -303,13 +304,24 @@ def build_dataset(manifest, bank, seed=None, *, target_len, clean_loader=None):
         clip = np.asarray(clip, dtype=np.float64)
         if clip.size == 0:
             raise DegenerateSignalError(f"{record.clean_path}: empty clip")
+        named = f"record {idx + 1} ({record.clean_path})"
         crop = record.crop_start
         if crop is None:
             crop = _draw_crop_start(clip.size, target_len, rng)
+        elif not 0 <= crop <= max(clip.size - target_len, 0):
+            raise FormatError(
+                f"{named}: crop_start {crop} outside [0, {max(clip.size - target_len, 0)}] "
+                f"for a {clip.size}-sample clip and a {target_len}-sample target"
+            )
         clean = _crop_or_pad_at(clip, crop, target_len)
         cut = record.cut_point
         if cut is None:
             cut = draw_cut_point(bank, target_len, rng)
+        elif not 0 <= cut <= len(bank) - target_len:
+            raise FormatError(
+                f"{named}: cut_point {cut} outside [0, {len(bank) - target_len}] "
+                f"for a {len(bank)}-sample noise bank and a {target_len}-sample target"
+            )
         noise_seg = bank.segment(cut, target_len)
         result = mix_at_snr(clean, noise_seg, record.snr_db)
         yield MixedPair(

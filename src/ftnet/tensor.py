@@ -16,16 +16,23 @@ is a view on a contiguous buffer whose bounds numpy checks.
 Importing this module pins OpenBLAS to one thread for the process (see
 ``_one_blas_thread``).
 
-Every op builds its result through one helper, ``_op``, handing it the
-result's data, the op's inputs and a ``backward(g)`` that turns the result's
-gradient into the inputs' gradients. The helper records that closure on the
-result only when grad mode is on and an input needs a gradient. Gradients
-are propagated by a topological sweep in ``Tensor.backward``, which
-consumes the graph as it goes: a graph is backpropagated once, and each
-node, with its data and gradient, is released as soon as the sweep has
-passed it. Convolution closures keep their input tensor, not a padded copy
-of it. Gradients accumulate additively, so reusing a tensor in several
-places just works.
+The graph is made of small private nodes, not of tensors. Every op builds
+its result through one helper, ``_op``, handing it the result's data, its
+inputs' nodes and a ``backward(g)`` that turns the result's gradient into
+the inputs' gradients. Only when grad mode is on and an input needs a
+gradient does the helper give the result a node: its inputs' nodes, that
+closure and a gradient slot. A closure keeps its inputs' nodes and only the
+arrays its backward reads (a convolution its input and weight, not a padded
+copy; ``sigmoid`` and ``tanh`` their output; ``add`` and
+``concat_channels`` nothing), so an intermediate's data dies with its last
+Python reference. ``Tensor.backward`` sweeps the nodes in topological order
+and consumes the graph: each node drops its closure, with the arrays it
+kept, and its gradient once the closure has run, so a graph is
+backpropagated once. A node owns its gradient. It takes the first
+contribution as it is, uncopied; that array may be shared, so a second one
+makes a new array, and later ones add into it. Gradients thus accumulate
+additively, and reusing a tensor in several places just works. A leaf
+tensor created with ``requires_grad`` keeps its gradient in ``grad``.
 """
 
 import ctypes
@@ -84,21 +91,66 @@ def _as_rank3(data):
     return arr
 
 
+class _Node:
+    """A recorded value's place in the graph: its inputs' nodes, the closure
+    ``backward(g)`` that turns its gradient into theirs, and a gradient slot
+    (see ``_accumulate`` for ``owns_grad``). A leaf, a tensor created with
+    ``requires_grad``, has neither inputs nor closure.
+    """
+
+    __slots__ = ("parents", "backward", "grad", "owns_grad")
+
+    def __init__(self, parents=(), backward=None):
+        self.parents = parents
+        self.backward = backward
+        self.grad = None
+        self.owns_grad = False
+
+
 class Tensor:
-    """Rank-3 value with an optional gradient and backprop record.
+    """Rank-3 value with an optional graph node (gradient and backprop record).
 
     Lower-rank input is promoted: scalars become (1, 1, 1), vectors
     (1, 1, L), matrices (1, C, L).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = _as_rank3(data)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward_fn = None
+        self._node = _Node() if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._node is not None:
+            self._node.grad, self._node.owns_grad = value, False
+        elif value is not None:
+            raise UsageError("a tensor that requires no gradient cannot hold one")
+
+    @property
+    def _backward_fn(self):
+        """The recorded backward as a call without arguments, or None.
+
+        Assigning a callable without arguments replaces it; the sweep calls
+        the replacement, which may call what it read here.
+        """
+        node = self._node
+        if node is None or node.backward is None:
+            return None
+        backward = node.backward
+        return lambda: backward(node.grad)
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn):
+        self._node.backward = lambda g: fn()
 
     @property
     def shape(self):
@@ -117,30 +169,32 @@ class Tensor:
         self.grad = None
 
     def backward(self):
-        """Populate ``grad`` on every requires_grad tensor reachable from here.
+        """Populate ``grad`` on every requires_grad leaf reachable from here.
 
         Only defined for scalar (single-element) results. The sweep consumes
         the graph, so a second backward() through it raises UsageError. Each
-        node is released once the sweep has passed it: unless the caller
-        holds it, its data and gradient are freed before backward() returns.
+        node drops its closure, and with it the arrays it kept, and its
+        gradient as soon as the sweep has passed it.
         """
         if self.data.size != 1:
             raise UsageError(f"backward() needs a scalar loss, got shape {self.shape}")
-        order = _topo_order(self)
-        self.grad = np.ones_like(self.data)
+        root = self._node
+        if root is None:
+            return
+        order = _topo_order(root)
+        root.grad = np.ones_like(self.data)
         while order:
             node = order.pop()
-            if node._backward_fn is not None:
-                node._backward_fn()
-                # Each closure holds its own output: drop it to break the cycle.
-                node._backward_fn = _consumed
-                node._parents = ()
+            if node.backward is not None:
+                node.backward(node.grad)
+                node.backward, node.parents, node.grad = _consumed, (), None
 
     def sum(self):
         """Sum over all elements, as a scalar tensor."""
+        shape, node = self.data.shape, self._node
         return _op(
-            self.data.sum().reshape(1, 1, 1), (self,),
-            lambda g: _accumulate(self, np.broadcast_to(g.reshape(()), self.data.shape)),
+            self.data.sum().reshape(1, 1, 1), (node,),
+            lambda g: _accumulate(node, np.broadcast_to(g.reshape(()), shape)),
         )
 
     def __add__(self, other):
@@ -156,12 +210,12 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _consumed():
+def _consumed(g):
     raise UsageError("backward() already ran through this graph")
 
 
 def _topo_order(root):
-    # Iterative DFS; returns nodes in topological order, root last.
+    # Iterative DFS over nodes; returns them in topological order, root last.
     order, visited, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -172,34 +226,48 @@ def _topo_order(root):
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
+        for parent in node.parents:
             if id(parent) not in visited:
                 stack.append((parent, False))
     return order
 
 
-def _accumulate(tensor, grad):
-    if not tensor.requires_grad:
+def _accumulate(node, grad):
+    """Add ``grad`` into ``node``'s gradient; a None node needs none.
+
+    The first contribution is taken as it is, uncopied, although it may be
+    shared (``add`` hands one ``g`` to both inputs, ``concat_channels``
+    slices of it, ``Tensor.sum`` a read-only view). So the second makes a
+    new array, which the node owns (``owns_grad``) and later ones add into.
+    """
+    if node is None:
         return
-    if tensor.grad is None:
-        tensor.grad = np.empty_like(tensor.data)
-        tensor.grad[...] = grad
+    if node.grad is None:
+        node.grad = grad
+    elif node.owns_grad:
+        node.grad += grad
     else:
-        tensor.grad += grad
+        node.grad, node.owns_grad = node.grad + grad, True
 
 
-def _op(data, parents, backward):
-    """An op's result tensor; records ``backward(g)`` if a parent needs a gradient.
+def _node_of(tensor):
+    return None if tensor is None else tensor._node
 
-    ``backward`` receives the result's gradient ``g`` and accumulates each
-    parent's gradient from it. Under ``no_grad``, or when no parent requires
-    a gradient, nothing is recorded.
+
+def _op(data, inputs, backward):
+    """An op's result tensor; records ``backward(g)`` if an input needs a gradient.
+
+    ``inputs`` are the op's input nodes (None for a tensor that needs no
+    gradient). ``backward`` receives the result's gradient ``g`` and
+    accumulates each input node's gradient from it; it captures those nodes
+    and only the arrays it reads, never a tensor. Under ``no_grad``, or
+    when no input needs a gradient, nothing is recorded.
     """
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward_fn = lambda: backward(out.grad)
+    if _grad_enabled:
+        parents = tuple(n for n in inputs if n is not None)
+        if parents:
+            out._node = _Node(parents, backward)
     return out
 
 
@@ -366,27 +434,28 @@ def conv1d(x, weight, bias=None, *, stride=1, dilation=1, pad_left=0, pad_right=
         raise ShapeError(f"effective kernel span {span} exceeds padded input length {padded_len}")
     out_len = (padded_len - span) // stride + 1
 
-    out_data = _correlate(x.data, weight.data, stride, dilation, pads, out_len)[0]
+    a, w = x.data, weight.data
+    out_data = _correlate(a, w, stride, dilation, pads, out_len)[0]
     if bias is not None:
         out_data += bias.data
+    xn, wn, bn = x._node, weight._node, _node_of(bias)
 
     def backprop(g):
         cols = None
-        if x.requires_grad:
-            dx, cols = _correlate_adjoint(g, weight.data, stride, dilation, pads, length)
-            _accumulate(x, dx)
+        if xn is not None:
+            dx, cols = _correlate_adjoint(g, w, stride, dilation, pads, length)
+            _accumulate(xn, dx)
             del dx  # not held through the weight gradient's GEMM
-        if weight.requires_grad:
+        if wn is not None:
             if cols is None:
-                _accumulate(weight, _correlate_dw(g, x.data, weight.data, stride, dilation, pads))
+                _accumulate(wn, _correlate_dw(g, a, w, stride, dilation, pads))
             else:  # from g's columns: the adjoint's weight gradient, flipped back
-                swapped = weight.data.transpose(1, 0, 2)
-                dw = _correlate_dw(x.data, g, swapped, 1, dilation, None, cols)
-                _accumulate(weight, dw[:, :, ::-1].transpose(1, 0, 2))
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2), keepdims=True))
+                dw = _correlate_dw(a, g, w.transpose(1, 0, 2), 1, dilation, None, cols)
+                _accumulate(wn, dw[:, :, ::-1].transpose(1, 0, 2))
+        if bn is not None:
+            _accumulate(bn, g.sum(axis=(0, 2), keepdims=True))
 
-    return _op(out_data, (x, weight) if bias is None else (x, weight, bias), backprop)
+    return _op(out_data, (xn, wn, bn), backprop)
 
 
 def conv1d_transpose(x, weight, bias=None, *, stride=1, pad=0, output_pad=0):
@@ -408,22 +477,24 @@ def conv1d_transpose(x, weight, bias=None, *, stride=1, pad=0, output_pad=0):
         raise ShapeError(f"transposed output length {out_len} is not positive")
     pads = (pad, pad - output_pad)
 
-    out_data = _correlate_adjoint(x.data, weight.data, stride, 1, pads, out_len)[0]
+    a, w = x.data, weight.data
+    out_data = _correlate_adjoint(a, w, stride, 1, pads, out_len)[0]
     if bias is not None:
         out_data = out_data + bias.data
+    xn, wn, bn = x._node, weight._node, _node_of(bias)
 
     def backprop(g):
         cols = None
-        if x.requires_grad:
-            dx, cols = _correlate(g, weight.data, stride, 1, pads, length)
-            _accumulate(x, dx)
+        if xn is not None:
+            dx, cols = _correlate(g, w, stride, 1, pads, length)
+            _accumulate(xn, dx)
             del dx  # not held through the weight gradient's GEMM
-        if weight.requires_grad:  # that conv1d's input is g, its output gradient x
-            _accumulate(weight, _correlate_dw(x.data, g, weight.data, stride, 1, pads, cols))
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2), keepdims=True))
+        if wn is not None:  # that conv1d's input is g, its output gradient x
+            _accumulate(wn, _correlate_dw(a, g, w, stride, 1, pads, cols))
+        if bn is not None:
+            _accumulate(bn, g.sum(axis=(0, 2), keepdims=True))
 
-    return _op(out_data, (x, weight) if bias is None else (x, weight, bias), backprop)
+    return _op(out_data, (xn, wn, bn), backprop)
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +505,14 @@ def sigmoid(x):
     """Logistic function, evaluated without overflow on either tail."""
     e = np.exp(-np.abs(x.data))
     y = np.where(x.data >= 0, 1.0, e) / (1.0 + e)
-    return _op(y, (x,), lambda g: _accumulate(x, g * y * (1.0 - y)))
+    xn = x._node
+    return _op(y, (xn,), lambda g: _accumulate(xn, g * y * (1.0 - y)))
 
 
 def tanh(x):
     y = np.tanh(x.data)
-    return _op(y, (x,), lambda g: _accumulate(x, g * (1.0 - y * y)))
+    xn = x._node
+    return _op(y, (xn,), lambda g: _accumulate(xn, g * (1.0 - y * y)))
 
 
 def prelu(x, slopes):
@@ -449,17 +522,19 @@ def prelu(x, slopes):
     channels = x.data.shape[1]
     if slopes.data.shape != (1, channels, 1):
         raise ConfigError(f"prelu slopes shape {slopes.data.shape} does not match (1, {channels}, 1)")
-    negative = x.data < 0
-    y = np.where(negative, slopes.data * x.data, x.data)
+    a, s = x.data, slopes.data
+    negative = a < 0
+    y = np.where(negative, s * a, a)
+    xn, sn = x._node, slopes._node
 
     def backprop(g):
-        if x.requires_grad:
-            _accumulate(x, np.where(negative, slopes.data, 1.0) * g)
-        if slopes.requires_grad:
-            contrib = np.where(negative, x.data, 0.0) * g
-            _accumulate(slopes, contrib.sum(axis=(0, 2), keepdims=True))
+        if xn is not None:
+            _accumulate(xn, np.where(negative, s, 1.0) * g)
+        if sn is not None:
+            contrib = np.where(negative, a, 0.0) * g
+            _accumulate(sn, contrib.sum(axis=(0, 2), keepdims=True))
 
-    return _op(y, (x, slopes), backprop)
+    return _op(y, (xn, sn), backprop)
 
 
 def _require_same_shape(a, b, op):
@@ -469,58 +544,62 @@ def _require_same_shape(a, b, op):
 
 def add(a, b):
     _require_same_shape(a, b, "add")
+    an, bn = a._node, b._node
 
     def backprop(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(an, g)
+        _accumulate(bn, g)
 
-    return _op(a.data + b.data, (a, b), backprop)
+    return _op(a.data + b.data, (an, bn), backprop)
 
 
 def sub(a, b):
     _require_same_shape(a, b, "sub")
+    an, bn = a._node, b._node
 
     def backprop(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
+        _accumulate(an, g)
+        _accumulate(bn, -g)
 
-    return _op(a.data - b.data, (a, b), backprop)
+    return _op(a.data - b.data, (an, bn), backprop)
 
 
 def mul(a, b):
     _require_same_shape(a, b, "mul")
+    ad, bd, an, bn = a.data, b.data, a._node, b._node
 
     def backprop(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        _accumulate(an, g * bd)
+        _accumulate(bn, g * ad)
 
-    return _op(a.data * b.data, (a, b), backprop)
+    return _op(ad * bd, (an, bn), backprop)
 
 
 def concat_channels(a, b):
     """Concatenate along the channel axis, a first."""
     if a.data.shape[0] != b.data.shape[0] or a.data.shape[2] != b.data.shape[2]:
         raise ShapeError(f"concat_channels: batch/length mismatch {a.data.shape} vs {b.data.shape}")
-    split = a.data.shape[1]
+    split, an, bn = a.data.shape[1], a._node, b._node
 
     def backprop(g):
-        _accumulate(a, g[:, :split, :])
-        _accumulate(b, g[:, split:, :])
+        _accumulate(an, g[:, :split, :])
+        _accumulate(bn, g[:, split:, :])
 
-    return _op(np.concatenate([a.data, b.data], axis=1), (a, b), backprop)
+    return _op(np.concatenate([a.data, b.data], axis=1), (an, bn), backprop)
 
 
 def mae_loss(pred, target):
     """Mean absolute error over all elements; subgradient 0 at exact ties."""
     _require_same_shape(pred, target, "mae_loss")
     diff = pred.data - target.data
+    pn, tn = pred._node, target._node
 
     def backprop(g):
         dpred = g.reshape(()) * np.sign(diff) / diff.size
-        _accumulate(pred, dpred)
-        _accumulate(target, -dpred)
+        _accumulate(pn, dpred)
+        _accumulate(tn, -dpred)
 
-    return _op(np.abs(diff).mean().reshape(1, 1, 1), (pred, target), backprop)
+    return _op(np.abs(diff).mean().reshape(1, 1, 1), (pn, tn), backprop)
 
 
 # ---------------------------------------------------------------------------

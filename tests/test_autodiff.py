@@ -272,7 +272,7 @@ def test_no_grad_blocks_graph_recording(op, inputs_need_grad):
     else:
         y = OPS[op](make)
     assert not y.requires_grad
-    assert y._parents == ()
+    assert y._node is None  # no graph node: no inputs, closure or gradient slot
     assert y._backward_fn is None
 
 
@@ -360,6 +360,75 @@ def test_backward_releases_each_node_once_the_sweep_has_passed_it():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_data_that_no_backward_reads_dies_with_its_last_reference():
+    # A GRU gate's conv output feeds only add, and a PReLU output feeds only
+    # concat_channels: neither backward reads it, so the graph must not keep it.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        x = T.Tensor(rand(1, 2, 8), requires_grad=True)
+        h = T.Tensor(rand(1, 3, 8), requires_grad=True)
+        w, u = (T.Tensor(rand(3, c, 3), requires_grad=True) for c in (2, 3))
+        slopes = T.Tensor(np.full((1, 3, 1), 0.25), requires_grad=True)
+        from_x = T.conv1d(x, w, pad_left=1, pad_right=1)
+        gate = T.sigmoid(T.add(from_x, T.conv1d(h, u, pad_left=1, pad_right=1)))
+        activated = T.prelu(T.conv1d(x, w, pad_left=1, pad_right=1), slopes)
+        joined = T.concat_channels(activated, gate)
+        probes = [weakref.ref(from_x.data), weakref.ref(activated.data)]
+        loss = T.mul(joined, joined).sum()
+        del from_x, gate, activated, joined
+        assert [probe() is None for probe in probes] == [True, True]
+        loss.backward()
+        assert all(t.grad is not None for t in (x, h, w, u, slopes))
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+# Graphs where a gradient that one node may share with another (add's g,
+# concat_channels' slices of it, Tensor.sum's read-only broadcast view) reaches
+# a node that later gets a second contribution. Adding that one in place into
+# the shared array would corrupt the other holder. Each case returns the
+# (shared, other) terms; the sweep takes the first input of the final add
+# first, so each case runs in both orders.
+def shared_by_add(a, b, c):
+    return T.mul(T.add(a, b), c).sum(), T.mul(a, c).sum()
+
+
+def sliced_by_concat(a, b, c, d):
+    # a gets a slice of the g that add also hands to d.
+    return T.mul(T.add(T.concat_channels(a, b), d), c).sum(), T.mul(a, a).sum()
+
+
+def viewed_by_sum(x):
+    return x.sum(), T.mul(x, x).sum()
+
+
+def viewed_by_sum_of_an_intermediate(x):
+    t = T.tanh(x)
+    return t.sum(), T.mul(t, x).sum()
+
+
+SHARED_GRADIENTS = {
+    "add": (shared_by_add, [(1, 2, 4)] * 3),
+    "concat_channels": (sliced_by_concat, [(1, 2, 4), (1, 3, 4), (1, 5, 4), (1, 5, 4)]),
+    "sum": (viewed_by_sum, [(1, 2, 4)]),
+    "sum-of-an-intermediate": (viewed_by_sum_of_an_intermediate, [(1, 2, 4)]),
+}
+
+
+@pytest.mark.parametrize("shared_first", [True, False], ids=["shared-first", "shared-last"])
+@pytest.mark.parametrize("case", list(SHARED_GRADIENTS))
+def test_a_shared_gradient_is_never_added_into_in_place(case, shared_first):
+    terms, shapes = SHARED_GRADIENTS[case]
+
+    def f(*tensors):
+        shared, other = terms(*tensors)
+        return T.add(shared, other) if shared_first else T.add(other, shared)
+
+    check_op(f, [rand(*shape) for shape in shapes])
 
 
 def test_conv1d_graph_keeps_no_padded_copy_of_its_input():

@@ -587,6 +587,23 @@ def test_bad_manifest_exits_format_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cut, crop, named", [
+    (0, 999999, "crop_start 999999"), (99999999, 0, "cut_point 99999999"),
+], ids=["crop-past-clip", "cut-past-bank"])
+def test_mix_rejects_resolved_offsets_outside_the_clip_or_bank(corpus, capsys, cut, crop, named):
+    first = MixManifest.load(corpus / "manifest.tsv").records[0]
+    manifest = corpus / "resolved.tsv"
+    manifest.write_text(f"{first.clean_path}\t0\ttrain\t{cut}\t{crop}\n")
+    capsys.readouterr()
+    code = cli.main(["mix", "--manifest", str(manifest),
+                     "--noise-dir", str(corpus / "corpus" / "noise"),
+                     "--out-dir", str(corpus / "out"), "--target-seconds", "0.1"])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert re.search(rf"record 1 \(\S*{re.escape(first.clean_path)}\): {named} ", err), err
+    assert not (corpus / "out").exists()
+
+
 def test_bad_config_value_exits_config_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("kernel = 4\n")

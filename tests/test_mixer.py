@@ -364,3 +364,33 @@ def test_synth_signals_are_bounded_and_nontrivial():
         assert clip.size == 4000
         assert np.max(np.abs(clip)) <= 0.7 + 1e-12
         assert np.std(clip) > 0.01
+
+
+# A resolved record's offsets are used verbatim, so they must lie where the
+# draw could have put them: crop_start in [0, clip - target] (0 for a clip
+# shorter than the target, which is padded) and cut_point in [0, bank - target].
+@pytest.mark.parametrize("clip_len, cut, crop, named", [
+    (2400, 0, 401, "crop_start 401"),
+    (2400, 0, -1, "crop_start -1"),
+    (1500, 0, 1, "crop_start 1"),
+    (2400, 10_801, 0, "cut_point 10801"),
+    (2400, -1, 0, "cut_point -1"),
+], ids=["crop-past-end", "crop-negative", "crop-on-short-clip", "cut-past-end", "cut-negative"])
+def test_build_dataset_rejects_resolved_offsets_outside_their_range(clip_len, cut, crop, named):
+    bank = mixer.NoiseBank.from_clips([np.full(12_800, 0.1)])
+    manifest = mixer.MixManifest([mixer.MixRecord("a.wav", 0.0, "train", cut, crop)])
+    loader = lambda path: (np.full(clip_len, 0.2), 16000)
+    with pytest.raises(FormatError, match=rf"record 1 \(a\.wav\): {named} "):
+        list(mixer.build_dataset(manifest, bank, seed=0, clean_loader=loader, target_len=2000))
+
+
+@pytest.mark.parametrize("clip_len, cut, crop", [
+    (2400, 0, 0), (2400, 10_800, 400), (1500, 5, 0), (2000, 0, 0),
+])
+def test_build_dataset_takes_resolved_offsets_at_the_ends_of_their_range(clip_len, cut, crop):
+    bank = mixer.NoiseBank.from_clips([np.full(12_800, 0.1)])
+    manifest = mixer.MixManifest([mixer.MixRecord("a.wav", 0.0, "train", cut, crop)])
+    loader = lambda path: (np.full(clip_len, 0.2), 16000)
+    (pair,) = mixer.build_dataset(manifest, bank, seed=0, clean_loader=loader, target_len=2000)
+    assert pair.record.cut_point == cut and pair.record.crop_start == crop
+    assert pair.clean.size == 2000
