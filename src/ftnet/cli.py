@@ -254,12 +254,52 @@ def cmd_mix(args):
     return 0
 
 
+def _resume_point(path, config):
+    """The params and state a checkpoint holds, which must use ``config``."""
+    try:
+        params, state = checkpoint_load(path)
+    except FileNotFoundError:
+        raise FormatError(f"{path}: no checkpoint to resume from") from None
+    saved, given = params.config.to_dict(), config.to_dict()
+    differ = sorted(key for key in saved if saved[key] != given[key])
+    if differ:
+        raise ConfigError(f"{path} was trained with other {', '.join(differ)}; "
+                          "resume with the settings it was trained with")
+    return params, state
+
+
+def _open_log(path, resumed_epochs):
+    """The epoch log, open for appending rows.
+
+    A fresh run (``resumed_epochs`` None) starts it with the header. A
+    resumed one keeps the header and the checkpoint's epochs' rows, and
+    drops a row logged after the checkpoint's last save.
+    """
+    if resumed_epochs is None:
+        fh = open(path, "w", encoding="utf-8")
+        print(LOG_HEADER, file=fh)
+        return fh
+    kept = pathlib.Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = kept[: 1 + resumed_epochs]
+    if len(kept) != 1 + resumed_epochs or kept[0] != LOG_HEADER + "\n" or not kept[-1].endswith("\n"):
+        raise FormatError(f"{path}: not the log of the checkpoint's {resumed_epochs} epochs")
+    os.truncate(path, len("".join(kept).encode("utf-8")))
+    return open(path, "a", encoding="utf-8")
+
+
 def cmd_train(args):
-    """Run the harness to its stop condition; write checkpoint + epoch log."""
+    """Run the harness to its stop condition; write checkpoint + epoch log.
+
+    With ``--resume`` the run continues from the ``--out`` checkpoint, which
+    must have been trained with the same model settings, and appends to
+    ``--log``. Its learning rate comes from the checkpoint.
+    """
     config, train = resolve_settings(args)
+    if args.resume:
+        params, state = _resume_point(args.out, config)
     _echo_run("train", config, extra={
         "manifest": args.manifest, "noise_dir": args.noise_dir,
-        "checkpoint": args.out, "log": args.log or "", **train,
+        "checkpoint": args.out, "log": args.log or "", "resume": args.resume, **train,
     })
     pairs = _load_manifest_pairs(args, train, config.seed)
     train_pairs = [p for p in pairs if p.record.split == "train"]
@@ -269,20 +309,21 @@ def cmd_train(args):
     if not val_pairs:
         # Desk-scale fallback: validate on the training pairs.
         val_pairs = train_pairs
-    params = build_model(config)
-    state = TrainState(lr=train["lr"], rng_state=config.seed,
-                       sample_rate=train_pairs[0].sample_rate)
+    rate = train_pairs[0].sample_rate
+    if not args.resume:
+        params = build_model(config)
+        state = TrainState(lr=train["lr"], rng_state=config.seed, sample_rate=rate)
+    elif state.sample_rate not in (None, rate):
+        raise FormatError(f"{args.out} was trained at {state.sample_rate} Hz, the corpus is {rate} Hz")
 
-    log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
+    log_fh = _open_log(args.log, state.epoch if args.resume else None) if args.log else None
     try:
-        if log_fh:
-            print(LOG_HEADER, file=log_fh)
 
         def log_row(row):
             line = format_log_row(row)
             print(line)
             if log_fh:
-                print(line, file=log_fh)
+                print(line, file=log_fh, flush=True)  # a killed run keeps its rows
             checkpoint_save(params, state, args.out)
 
         print(LOG_HEADER)
@@ -472,6 +513,8 @@ def build_parser():
     p.add_argument("--noise-dir", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", help="CSV epoch log path")
+    p.add_argument("--resume", action="store_true",
+                   help="continue from the --out checkpoint, appending to --log")
     _add_model_flags(p)
     p.add_argument("--lr", type=float, dest="lr")
     p.add_argument("--batch-size", type=int, dest="batch_size")

@@ -14,7 +14,11 @@ one whose input needs no gradient, gathers its input for the weight
 gradient; conv1d_transpose gathers its output gradient. The im2col window
 is a view on a contiguous buffer whose bounds numpy checks.
 Importing this module pins OpenBLAS to one thread for the process (see
-``_one_blas_thread``).
+``_one_blas_thread``). The second core is used one level up: where the
+process may use two CPUs, a backward sweep hands each large weight
+gradient (gather, GEMM and accumulation) to one worker thread and goes on
+with the sweep, and ``Tensor.backward`` waits for every such job before it
+returns, also when the sweep raises.
 
 The graph is made of small private nodes, not of tensors. Every op builds
 its result through one helper, ``_op``, handing it the result's data, its
@@ -32,10 +36,15 @@ backpropagated once. A node owns its gradient. It takes the first
 contribution as it is, uncopied; that array may be shared, so a second one
 makes a new array, and later ones add into it. Gradients thus accumulate
 additively, and reusing a tensor in several places just works. A leaf
-tensor created with ``requires_grad`` keeps its gradient in ``grad``.
+tensor created with ``requires_grad`` keeps its gradient in ``grad``. A leaf
+with a job pending on the worker takes every later contribution through the
+worker too, so its gradient sums in sweep order and the outputs do not
+depend on the thread.
 """
 
 import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -176,6 +185,7 @@ class Tensor:
         node drops its closure, and with it the arrays it kept, and its
         gradient as soon as the sweep has passed it.
         """
+        global _handoff
         if self.data.size != 1:
             raise UsageError(f"backward() needs a scalar loss, got shape {self.shape}")
         root = self._node
@@ -183,11 +193,17 @@ class Tensor:
             return
         order = _topo_order(root)
         root.grad = np.ones_like(self.data)
-        while order:
-            node = order.pop()
-            if node.backward is not None:
-                node.backward(node.grad)
-                node.backward, node.parents, node.grad = _consumed, (), None
+        _handoff = _Handoff() if _cpus_allowed() > 1 else None
+        try:
+            while order:
+                node = order.pop()
+                if node.backward is not None:
+                    node.backward(node.grad)
+                    node.backward, node.parents, node.grad = _consumed, (), None
+        finally:
+            handoff, _handoff = _handoff, None
+            if handoff is not None:
+                handoff.wait()
 
     def sum(self):
         """Sum over all elements, as a scalar tensor."""
@@ -235,13 +251,21 @@ def _topo_order(root):
 def _accumulate(node, grad):
     """Add ``grad`` into ``node``'s gradient; a None node needs none.
 
-    The first contribution is taken as it is, uncopied, although it may be
-    shared (``add`` hands one ``g`` to both inputs, ``concat_channels``
+    A leaf with a job pending on the worker gets it through the worker, after
+    that job. The first contribution is taken as it is, uncopied, although it
+    may be shared (``add`` hands one ``g`` to both inputs, ``concat_channels``
     slices of it, ``Tensor.sum`` a read-only view). So the second makes a
     new array, which the node owns (``owns_grad``) and later ones add into.
     """
     if node is None:
         return
+    if _handoff is not None and node in _handoff.leaves:
+        _handoff.submit(node, lambda: grad)
+    else:
+        _add_grad(node, grad)
+
+
+def _add_grad(node, grad):
     if node.grad is None:
         node.grad = grad
     elif node.owns_grad:
@@ -320,7 +344,10 @@ def _one_blas_thread():
     The convs below are mid-size GEMMs. A second thread makes them ~15%
     faster, but every call then waits at a barrier for it, for as long as
     the scheduler keeps that thread off a free CPU. On a 2-vCPU box that
-    made a fresh process's first training operation up to 10x slower.
+    made a fresh process's first training operation up to 10x slower. The
+    second core is used one level up instead: large weight gradients run on
+    a worker thread beside the backward sweep (see ``_weight_grad``), each
+    GEMM still on one BLAS thread.
     """
     try:
         with open("/proc/self/maps") as maps:
@@ -336,6 +363,79 @@ def _one_blas_thread():
 
 
 _one_blas_thread()
+
+
+# ---------------------------------------------------------------------------
+# weight gradients on a worker thread
+#
+# FTNet runs each stage's weights Q times, and only Adam reads their
+# gradients, so a sweep need not wait for them. ``_weight_grad`` hands one to
+# the worker when the weight is a leaf (the sweep never reads its gradient)
+# and its GEMM is at least ``_HANDOFF_MACS``, about 0.1 ms of GEMM on a 2-vCPU
+# Xeon, twice the ~50 us a thread handoff costs. The job regathers the
+# columns it reads from the ``g`` and ``a`` it keeps, rather than keep the
+# adjoint's, which are K times the size; the values, and so the outputs, are
+# the same. numpy releases the GIL in the gathers and GEMMs. Smaller
+# gradients, and every gradient where the process may use one CPU, are
+# computed inline.
+
+_HANDOFF_MACS = 1 << 22
+_handoff = None  # the running sweep's _Handoff, while it may hand work off
+_executor = None  # the worker, started by the first job
+
+
+def _cpus_allowed():
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this OS
+        return os.cpu_count() or 1
+
+
+def _forget_worker():
+    global _executor
+    _executor = None  # a forked child inherits the object but not its thread
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+class _Handoff:
+    """One sweep's jobs, run in submission order on the one worker thread.
+
+    ``leaves`` are the nodes with a job submitted; ``_accumulate`` routes
+    their later contributions here, so only the worker adds into them.
+    """
+
+    def __init__(self):
+        self.jobs, self.leaves = [], set()
+
+    def submit(self, node, grad_fn):
+        global _executor
+        if _executor is None:
+            _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ftnet-grad")
+        self.leaves.add(node)
+        self.jobs.append(_executor.submit(lambda: _add_grad(node, grad_fn())))
+
+    def wait(self):
+        """Wait for every job, then raise the first one's exception, if any."""
+        errors = [job.exception() for job in self.jobs]
+        for error in errors:
+            if error is not None:
+                raise error
+
+
+def _weight_grad(node, macs, grad_fn, cols):
+    """Accumulate ``grad_fn(cols)`` into the weight ``node``, on the worker if it pays.
+
+    ``macs`` sizes the GEMM. A job gets ``grad_fn(None)``: it regathers the
+    columns instead of keeping the caller's.
+    """
+    if _handoff is not None and node.backward is None and macs >= _HANDOFF_MACS:
+        _handoff.submit(node, lambda: grad_fn(None))
+    else:
+        _accumulate(node, grad_fn(cols))
 
 
 def _gather(a, kernel, positions, stride, dilation):
@@ -439,6 +539,8 @@ def conv1d(x, weight, bias=None, *, stride=1, dilation=1, pad_left=0, pad_right=
     if bias is not None:
         out_data += bias.data
     xn, wn, bn = x._node, weight._node, _node_of(bias)
+    macs = w.size * len(a) * out_len
+    reach = dilation * (kernel - 1)
 
     def backprop(g):
         cols = None
@@ -447,13 +549,17 @@ def conv1d(x, weight, bias=None, *, stride=1, dilation=1, pad_left=0, pad_right=
             _accumulate(xn, dx)
             del dx  # not held through the weight gradient's GEMM
         if wn is not None:
-            if cols is None:
-                _accumulate(wn, _correlate_dw(g, a, w, stride, dilation, pads))
-            else:  # from g's columns: the adjoint's weight gradient, flipped back
-                dw = _correlate_dw(a, g, w.transpose(1, 0, 2), 1, dilation, None, cols)
-                _accumulate(wn, dw[:, :, ::-1].transpose(1, 0, 2))
+            _weight_grad(wn, macs, lambda cols: weight_grad(g, cols), cols)
         if bn is not None:
             _accumulate(bn, g.sum(axis=(0, 2), keepdims=True))
+
+    def weight_grad(g, cols):
+        if stride > 1 or xn is None:
+            return _correlate_dw(g, a, w, stride, dilation, pads)
+        # From g's columns, as the adjoint gathers them: its weight gradient, flipped back.
+        dw = _correlate_dw(a, g, w.transpose(1, 0, 2), 1, dilation,
+                           (reach - pad_left, reach - pad_right), cols)
+        return dw[:, :, ::-1].transpose(1, 0, 2)
 
     return _op(out_data, (xn, wn, bn), backprop)
 
@@ -482,6 +588,7 @@ def conv1d_transpose(x, weight, bias=None, *, stride=1, pad=0, output_pad=0):
     if bias is not None:
         out_data = out_data + bias.data
     xn, wn, bn = x._node, weight._node, _node_of(bias)
+    macs = w.size * len(a) * length
 
     def backprop(g):
         cols = None
@@ -490,7 +597,7 @@ def conv1d_transpose(x, weight, bias=None, *, stride=1, pad=0, output_pad=0):
             _accumulate(xn, dx)
             del dx  # not held through the weight gradient's GEMM
         if wn is not None:  # that conv1d's input is g, its output gradient x
-            _accumulate(wn, _correlate_dw(a, g, w, stride, 1, pads, cols))
+            _weight_grad(wn, macs, lambda cols: _correlate_dw(a, g, w, stride, 1, pads, cols), cols)
         if bn is not None:
             _accumulate(bn, g.sum(axis=(0, 2), keepdims=True))
 
@@ -523,11 +630,11 @@ def prelu(x, slopes):
     if slopes.data.shape != (1, channels, 1):
         raise ConfigError(f"prelu slopes shape {slopes.data.shape} does not match (1, {channels}, 1)")
     a, s = x.data, slopes.data
-    negative = a < 0
-    y = np.where(negative, s * a, a)
+    y = np.where(a < 0, s * a, a)
     xn, sn = x._node, slopes._node
 
     def backprop(g):
+        negative = a < 0  # recomputed, so the graph keeps no mask beside a
         if xn is not None:
             _accumulate(xn, np.where(negative, s, 1.0) * g)
         if sn is not None:

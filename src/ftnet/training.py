@@ -229,12 +229,12 @@ def fit(params, state, train_pairs, val_pairs, *, max_epochs=MAX_EPOCHS, batch_s
     log_fn(row) runs after every epoch, once params and state hold that
     epoch's result. Saving a checkpoint there, as ``ftnet train`` does,
     lets the run be killed and resumed without changing a single bit of
-    the trajectory.
+    the trajectory. A state the schedule has already stopped runs no epoch.
     """
     train_pairs = list(train_pairs)
     val_pairs = list(val_pairs)
     rows = []
-    while state.epoch < max_epochs:
+    while state.epoch < max_epochs and state.total_increase_events < STOP_AFTER:
         train_mae = train_epoch(params, state, train_pairs, batch_size=batch_size)
         val_mae = validate(params, val_pairs)
         lr_used = state.lr

@@ -6,12 +6,19 @@ keeps the check meaningful where gradients are exactly zero.
 """
 
 import gc
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftnet import tensor as T
 from ftnet.errors import UsageError
@@ -365,6 +372,7 @@ def test_backward_releases_each_node_once_the_sweep_has_passed_it():
 def test_data_that_no_backward_reads_dies_with_its_last_reference():
     # A GRU gate's conv output feeds only add, and a PReLU output feeds only
     # concat_channels: neither backward reads it, so the graph must not keep it.
+    # PReLU's backward recomputes its sign mask, so it keeps no bool array.
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -375,6 +383,8 @@ def test_data_that_no_backward_reads_dies_with_its_last_reference():
         from_x = T.conv1d(x, w, pad_left=1, pad_right=1)
         gate = T.sigmoid(T.add(from_x, T.conv1d(h, u, pad_left=1, pad_right=1)))
         activated = T.prelu(T.conv1d(x, w, pad_left=1, pad_right=1), slopes)
+        kept = [cell.cell_contents for cell in activated._node.backward.__closure__]
+        assert not [v for v in kept if isinstance(v, np.ndarray) and v.dtype == bool]
         joined = T.concat_channels(activated, gate)
         probes = [weakref.ref(from_x.data), weakref.ref(activated.data)]
         loss = T.mul(joined, joined).sum()
@@ -460,3 +470,178 @@ def test_backward_peak_stays_near_the_memory_of_the_forward_graph():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * held
+
+
+# ---------------------------------------------------------------------------
+# weight gradients on the worker thread
+
+
+def conv_macs(op, x, w, **kwargs):
+    """The MAC count a conv compares with the hand-off floor, for arrays x and w."""
+    with T.no_grad():
+        out = op(T.Tensor(x), T.Tensor(w), **kwargs)
+    return w.size * len(x) * (out.shape[2] if op is T.conv1d else x.shape[2])
+
+
+def gradients_of(loss_fn, arrays, cpus, floor=T._HANDOFF_MACS):
+    """Leaf gradients of one backward, with ``cpus`` allowed and the given floor,
+    plus whether any weight-gradient GEMM ran off the calling thread."""
+    tensors = [T.Tensor(a, requires_grad=True) for a in arrays]
+    threads, correlate_dw = set(), T._correlate_dw
+
+    def spy(*args):
+        threads.add(threading.current_thread() is threading.main_thread())
+        return correlate_dw(*args)
+
+    with mock.patch.object(T, "_cpus_allowed", lambda: cpus), \
+            mock.patch.object(T, "_HANDOFF_MACS", floor), mock.patch.object(T, "_correlate_dw", spy):
+        loss_fn(*tensors).backward()
+    return [t.grad for t in tensors], False in threads
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.one_of(conv1d_geometry().map(lambda geo: (T.conv1d, geo)),
+                      conv1d_transpose_geometry().map(lambda geo: (T.conv1d_transpose, geo))),
+       at_floor=st.booleans())
+def test_handed_off_weight_gradients_equal_the_inline_ones_bit_for_bit(case, at_floor):
+    # The floor sits at the drawn conv's MACs (handed off) or one above (inline).
+    op, geo = case
+    x, w, b = operands(geo)
+    floor = conv_macs(op, x, w, **geo["kwargs"]) + (0 if at_floor else 1)
+
+    def loss(xt, wt, bt):
+        out = op(xt, wt, bt, **geo["kwargs"])
+        cotangent = np.random.default_rng(geo["seed"] + 1).standard_normal(out.shape)
+        return T.mul(out, T.Tensor(cotangent)).sum()
+
+    inline, _ = gradients_of(loss, (x, w, b), cpus=1, floor=floor)
+    handed, off_thread = gradients_of(loss, (x, w, b), cpus=2, floor=floor)
+    assert off_thread == at_floor
+    assert [g.tobytes() for g in handed] == [g.tobytes() for g in inline]
+
+
+@pytest.mark.parametrize("inline_first", [True, False], ids=["inline-first", "inline-last"])
+def test_a_leaf_shared_by_a_handed_off_conv_and_an_inline_op_gets_the_serial_sum(inline_first):
+    # w gets one contribution from each conv (handed off) and one from mul
+    # (inline), in either sweep order.
+    def loss(x, w):
+        convs = T.add(T.conv1d(x, w, pad_left=1, pad_right=1).sum(),
+                      T.conv1d(T.tanh(x), w, dilation=2, pad_left=2, pad_right=2).sum())
+        squares = T.mul(w, w).sum()
+        return T.add(squares, convs) if inline_first else T.add(convs, squares)
+
+    arrays = (rand(2, 32, 64), rand(32, 32, 3))
+    assert conv_macs(T.conv1d, *arrays, pad_left=1, pad_right=1) >= 2**16
+    serial, _ = gradients_of(loss, arrays, cpus=1, floor=2**16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for _ in range(20):
+            handed, off_thread = gradients_of(loss, arrays, cpus=2, floor=2**16)
+            assert off_thread
+            assert [g.tobytes() for g in handed] == [g.tobytes() for g in serial]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_an_exception_in_a_job_is_raised_from_backward_after_every_job_ran():
+    x = T.Tensor(rand(2, 32, 64), requires_grad=True)
+    w1, w2 = (T.Tensor(rand(32, 32, 3), requires_grad=True) for _ in range(2))
+    loss = T.add(T.conv1d(x, w1, pad_left=1, pad_right=1).sum(),
+                 T.conv1d(x, w2, pad_left=1, pad_right=1).sum())
+    ran, correlate_dw = [], T._correlate_dw
+
+    def fail_first(*args):
+        ran.append(threading.current_thread().name)
+        if len(ran) == 1:
+            raise FloatingPointError("injected")
+        return correlate_dw(*args)
+
+    with mock.patch.object(T, "_cpus_allowed", lambda: 2), \
+            mock.patch.object(T, "_HANDOFF_MACS", 1), mock.patch.object(T, "_correlate_dw", fail_first):
+        with pytest.raises(FloatingPointError, match="injected"):
+            loss.backward()
+    assert len(ran) == 2 and threading.main_thread().name not in ran
+    assert T._handoff is None
+    assert (w1.grad is None) != (w2.grad is None)
+
+
+def test_a_sweep_that_raises_still_waits_for_its_jobs():
+    x = T.Tensor(rand(2, 32, 64), requires_grad=True)
+    w = T.Tensor(rand(32, 32, 3), requires_grad=True)
+    out = T.conv1d(x, w, pad_left=1, pad_right=1)
+    loss = T.tanh(out).sum()
+    conv_backward = out._node.backward
+
+    def then_fail(g):  # submits w's job, then the sweep fails
+        conv_backward(g)
+        raise ArithmeticError("sweep")
+
+    correlate_dw = T._correlate_dw
+
+    def slow(*args):  # the job is still running when the sweep fails
+        time.sleep(0.2)
+        return correlate_dw(*args)
+
+    out._node.backward = then_fail
+    with mock.patch.object(T, "_cpus_allowed", lambda: 2), \
+            mock.patch.object(T, "_HANDOFF_MACS", 1), mock.patch.object(T, "_correlate_dw", slow):
+        with pytest.raises(ArithmeticError, match="sweep"):
+            loss.backward()
+    assert T._handoff is None and w.grad is not None
+
+
+PINNED_PROBE = """
+import os, sys, threading
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from ftnet import tensor as T
+rng = np.random.default_rng(0)
+x = T.Tensor(rng.standard_normal((2, 64, 1024)), requires_grad=True)
+w = T.Tensor(rng.standard_normal((64, 64, 3)), requires_grad=True)
+T.conv1d(x, w, pad_left=1, pad_right=1).sum().backward()
+print(threading.active_count())
+"""
+
+
+def run_probe(probe, *args):
+    """The words a fresh interpreter prints running ``probe`` on ftnet from src/."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", probe, *args], env=env, timeout=120,
+                          capture_output=True, text=True, check=True).stdout.split()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_a_process_pinned_to_one_cpu_starts_no_thread():
+    assert 2 * 64 * 64 * 3 * 1024 >= T._HANDOFF_MACS
+    assert run_probe(PINNED_PROBE, "pinned") == ["1"]
+    if len(os.sched_getaffinity(0)) > 1:  # the same backward unpinned starts the worker
+        assert run_probe(PINNED_PROBE, "free") == ["2"]
+
+
+FORK_PROBE = """
+import os, signal
+import numpy as np
+from ftnet import tensor as T
+def step():
+    x = T.Tensor(np.ones((2, 64, 1024)), requires_grad=True)
+    w = T.Tensor(np.ones((64, 64, 3)), requires_grad=True)
+    T.conv1d(x, w, pad_left=1, pad_right=1).sum().backward()
+    return w.grad.sum()
+T._cpus_allowed = lambda: 2
+first = step()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)  # a child whose job never runs dies instead of hanging
+    os._exit(0 if step() == first else 1)
+print(os.waitpid(pid, 0)[1])
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_a_forked_child_starts_its_own_worker():
+    # The child inherits the parent's executor but not its thread; a job
+    # submitted there would wait forever.
+    assert run_probe(FORK_PROBE) == ["0"]

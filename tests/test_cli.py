@@ -159,17 +159,18 @@ def test_mix_pairs_hit_target_snr_after_quantization(corpus, capsys):
         assert abs(measure_snr(clean, noisy) - record.snr_db) <= 0.1
 
 
-def run_training(corpus, capsys, extra=()):
-    ckpt = corpus / "run.ckpt"
-    log = corpus / "run.csv"
-    code = cli.main([
+def train(corpus, *extra):
+    return cli.main([
         "train", "--manifest", str(corpus / "manifest.tsv"),
         "--noise-dir", str(corpus / "corpus" / "noise"),
-        "--out", str(ckpt), "--log", str(log),
+        "--out", str(corpus / "run.ckpt"), "--log", str(corpus / "run.csv"),
         "--config", str(corpus / "micro.cfg"), *extra,
     ])
-    assert code == 0
-    return ckpt, log, capsys.readouterr().out
+
+
+def run_training(corpus, capsys, extra=()):
+    assert train(corpus, *extra) == 0
+    return corpus / "run.ckpt", corpus / "run.csv", capsys.readouterr().out
 
 
 def test_train_writes_checkpoint_and_log(corpus, capsys):
@@ -183,6 +184,89 @@ def test_train_writes_checkpoint_and_log(corpus, capsys):
     first = lines[1].split(",")
     assert first[0] == "1"  # rows are numbered by completed epoch
     assert float(first[3]) == 0.001  # lr from the config file
+
+
+class Killed(BaseException):
+    """Stands in for the process being killed: nothing in main() catches it."""
+
+
+@pytest.mark.parametrize("logged_past_checkpoint", [False, True],
+                         ids=["killed-after-save", "killed-before-save"])
+def test_train_resume_continues_a_killed_run_bit_for_bit(corpus, capsys, monkeypatch,
+                                                         logged_past_checkpoint):
+    epochs = ["--max-epochs", "4"]
+    ckpt, log, _ = run_training(corpus, capsys, epochs)
+    whole = ckpt.read_bytes(), log.read_text()
+    ckpt.unlink()
+    log.unlink()
+
+    # Killed once epoch 2's checkpoint is on disk, or while epoch 3's is being
+    # saved, after its log row was written.
+    save = cli.checkpoint_save
+
+    def save_then_die(params, state, path):
+        if state.epoch == 3:
+            raise Killed
+        save(params, state, path)
+        if state.epoch == 2 and not logged_past_checkpoint:
+            raise Killed
+
+    monkeypatch.setattr(cli, "checkpoint_save", save_then_die)
+    with pytest.raises(Killed):
+        run_training(corpus, capsys, epochs)
+    assert len(log.read_text().splitlines()) == 1 + 2 + logged_past_checkpoint
+    monkeypatch.setattr(cli, "checkpoint_save", save)
+
+    _, _, stdout = run_training(corpus, capsys, [*epochs, "--resume"])
+    assert "config:resume=true" in stdout
+    assert (ckpt.read_bytes(), log.read_text()) == whole
+
+
+def test_train_resume_of_a_finished_run_trains_nothing(corpus, capsys):
+    ckpt, log, _ = run_training(corpus, capsys)
+    finished = ckpt.read_bytes(), log.read_text()
+    run_training(corpus, capsys, ["--resume"])
+    assert (ckpt.read_bytes(), log.read_text()) == finished
+
+
+@pytest.mark.parametrize("damage", ["missing", "corrupt"])
+def test_train_resume_without_a_readable_checkpoint_exits_format_code(corpus, capsys, damage):
+    if damage == "corrupt":
+        (corpus / "run.ckpt").write_bytes(b"JUNKJUNKJUNKJUNKJUNK")
+    assert train(corpus, "--resume") == 5
+    assert "run.ckpt" in capsys.readouterr().err
+    assert not (corpus / "run.csv").exists()
+
+
+def test_train_resume_with_other_model_settings_exits_config_code(corpus, capsys):
+    ckpt, log, _ = run_training(corpus, capsys)
+    finished = ckpt.read_bytes(), log.read_text()
+    assert train(corpus, "--resume", "--stages", "3") == 2
+    assert "stages" in capsys.readouterr().err
+    assert (ckpt.read_bytes(), log.read_text()) == finished
+
+
+def test_train_resume_on_a_corpus_at_another_rate_exits_format_code(corpus, capsys):
+    ckpt, log, _ = run_training(corpus, capsys)
+    assert cli.main([
+        "synth", "--out-dir", str(corpus / "slow"), "--n-clean", "2", "--n-noise", "1",
+        "--clean-seconds", "0.3", "--noise-seconds", "1.0", "--sample-rate", "8000",
+        "--emit-manifest", str(corpus / "slow.tsv"),
+    ]) == 0
+    code = cli.main([
+        "train", "--manifest", str(corpus / "slow.tsv"),
+        "--noise-dir", str(corpus / "slow" / "noise"), "--out", str(ckpt), "--log", str(log),
+        "--config", str(corpus / "micro.cfg"), "--max-epochs", "3", "--resume",
+    ])
+    assert code == 5
+    assert "16000 Hz" in capsys.readouterr().err
+
+
+def test_train_resume_rejects_a_log_that_lacks_the_checkpoint_epochs(corpus, capsys):
+    ckpt, log, _ = run_training(corpus, capsys, ["--max-epochs", "1"])
+    log.write_text("epoch,train_mae,val_mae,lr,action\n")
+    assert train(corpus, "--resume", "--max-epochs", "2") == 5
+    assert "run.csv" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, config_line, key", [

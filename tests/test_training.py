@@ -551,6 +551,15 @@ def test_resume_reproduces_uninterrupted_trajectory(tmp_path):
         np.testing.assert_array_equal(resumed_params[name].data, params_a[name].data)
 
 
+def test_fit_runs_no_epoch_for_a_state_the_schedule_stopped():
+    params = build_model(micro_config())
+    before = snapshot(params)
+    state = TrainState(total_increase_events=training.STOP_AFTER)
+    _, rows = fit(params, state, micro_pairs(n=2), micro_pairs(n=2), max_epochs=6)
+    assert rows == [] and state.epoch == 0
+    assert_same_weights(params, before)
+
+
 def test_log_row_format_is_machine_parsable():
     row = training.EpochLog(3, 0.125, 0.25, 2e-4, "continue")
     assert training.format_log_row(row) == "3,0.125,0.25,0.0002,continue"
