@@ -85,7 +85,7 @@ def frame_signal(clip, frame_len=2048, hop=256):
 
     The frame count is ceil(max(n - frame_len, 0) / hop) + 1: every sample
     lands in at least one frame and a clip shorter than one frame still
-    yields a single padded frame.
+    yields a single padded frame. A hop longer than frame_len is rejected.
     """
     clip = np.asarray(clip, dtype=np.float64)
     if clip.ndim != 1:
@@ -94,6 +94,8 @@ def frame_signal(clip, frame_len=2048, hop=256):
         raise UsageError("cannot frame an empty clip")
     if frame_len < 1 or hop < 1:
         raise UsageError(f"frame_len and hop must be positive, got {frame_len}, {hop}")
+    if hop > frame_len:
+        raise UsageError(f"hop {hop} exceeds frame_len {frame_len}: samples would fall in no frame")
     n = clip.size
     n_frames = -(-max(n - frame_len, 0) // hop) + 1
     padded_len = (n_frames - 1) * hop + frame_len
@@ -117,6 +119,8 @@ def overlap_add(batch):
     if frames.ndim != 3 or frames.shape[1] != 1:
         raise UsageError(f"expected frames shaped (n, 1, L), got {frames.shape}")
     n_frames, _, frame_len = frames.shape
+    if not 1 <= hop <= frame_len:
+        raise UsageError(f"hop {hop} must lie in [1, frame length {frame_len}]")
     n_chunks = -(-frame_len // hop)
     acc = np.zeros((n_frames - 1 + n_chunks, hop))
     count = np.zeros_like(acc)

@@ -26,6 +26,7 @@ from .errors import (
     FTNetError,
     ShapeError,
     UsageError,
+    _read_text,
 )
 from .mixer import (
     MixManifest,
@@ -86,7 +87,7 @@ def _parse_value(text):
 def load_config_file(path):
     """Read ``key = value`` lines; # starts a comment, commas make tuples."""
     overrides = {}
-    text = pathlib.Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -279,7 +280,7 @@ def _open_log(path, resumed_epochs):
         fh = open(path, "w", encoding="utf-8")
         print(LOG_HEADER, file=fh)
         return fh
-    kept = pathlib.Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = _read_text(path).splitlines(keepends=True)
     kept = kept[: 1 + resumed_epochs]
     if len(kept) != 1 + resumed_epochs or kept[0] != LOG_HEADER + "\n" or not kept[-1].endswith("\n"):
         raise FormatError(f"{path}: not the log of the checkpoint's {resumed_epochs} epochs")

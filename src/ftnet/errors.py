@@ -26,3 +26,12 @@ class FormatError(FTNetError):
 
 class DegenerateSignalError(FTNetError):
     """Signal with no usable energy, or a non-finite loss or sample."""
+
+
+def _read_text(path):
+    """A text file's contents; bytes that are not UTF-8 raise FormatError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .audio import read_wav
-from .errors import DegenerateSignalError, FormatError, UsageError
+from .errors import DegenerateSignalError, FormatError, UsageError, _read_text
 
 __all__ = [
     "TRAIN_VAL_SNRS",
@@ -162,8 +162,7 @@ class MixManifest:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.parse(fh.read())
+        return cls.parse(_read_text(path))
 
     def dump(self):
         lines = []

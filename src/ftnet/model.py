@@ -233,21 +233,23 @@ def _trace(trace, name, before, after):
         )
 
 
-def _conv_block(params, name, x, *, stride, dilation=1):
-    """Named conv, plus its PReLU if it has one, with the length-preserving/halving pad plan."""
-    weight = params[f"{name}.weight"]
-    m = weight.data.shape[2] // 2
-    pads = (m * dilation, m * dilation) if stride == 1 else (m, m - 1)
+def _layer(params, name, conv, x, **geometry):
+    """Named layer: ``conv`` with its weight and bias, then its PReLU if it has one."""
     try:
-        out = T.conv1d(
-            x, weight.tensor, params[f"{name}.bias"].tensor,
-            stride=stride, dilation=dilation, pad_left=pads[0], pad_right=pads[1],
-        )
+        out = conv(x, params[f"{name}.weight"].tensor, params[f"{name}.bias"].tensor, **geometry)
     except ShapeError as exc:
         raise ShapeError(f"{name}: {exc}") from None
     if f"{name}.prelu" in params:
         out = T.prelu(out, params[f"{name}.prelu"].tensor)
     return out
+
+
+def _conv_block(params, name, x, *, stride, dilation=1):
+    """Named conv1d layer with the length-preserving/halving pad plan."""
+    m = params[f"{name}.weight"].data.shape[2] // 2
+    left, right = (m * dilation, m * dilation) if stride == 1 else (m, m - 1)
+    return _layer(params, name, T.conv1d, x, stride=stride, dilation=dilation,
+                  pad_left=left, pad_right=right)
 
 
 def convgru_forward(params, features, hidden):
@@ -343,14 +345,8 @@ def stage_forward(params, x, estimate, hidden, trace=None):
     for j, skip in enumerate(reversed(skips), start=1):
         joined = T.concat_channels(feat, skip)
         _trace(trace, f"skip_{j}", feat, joined)
-        deconv = T.conv1d_transpose(
-            joined,
-            params[f"deconv1d_{j}.weight"].tensor,
-            params[f"deconv1d_{j}.bias"].tensor,
-            stride=2, pad=config.kernel // 2, output_pad=1,
-        )
-        if f"deconv1d_{j}.prelu" in params:
-            deconv = T.prelu(deconv, params[f"deconv1d_{j}.prelu"].tensor)
+        deconv = _layer(params, f"deconv1d_{j}", T.conv1d_transpose, joined,
+                        stride=2, pad=config.kernel // 2, output_pad=1)
         _trace(trace, f"deconv1d_{j}", joined, deconv)
         feat = deconv
     return feat, hidden

@@ -7,12 +7,13 @@ sigmoid/tanh/PReLU, channel concatenation, MAE loss, and an Adam step. Both
 convolutions, forward and backward, run on three private kernels: a
 correlation (pad, im2col gather, one ``np.matmul``), its input adjoint and
 its weight gradient. ``conv1d`` runs them forward; ``conv1d_transpose`` runs
-the adjoint as its forward, so it is conv1d's adjoint by construction. Each
-backward gathers at most once: a stride-1 conv1d gathers its output
-gradient, and both gradients come from those columns; a strided conv1d, or
-one whose input needs no gradient, gathers its input for the weight
-gradient; conv1d_transpose gathers its output gradient. The im2col window
-is a view on a contiguous buffer whose bounds numpy checks.
+the adjoint as its forward, so it is conv1d's adjoint by construction; both
+record one backward (``_conv``). Each backward gathers at most once: a
+stride-1 conv1d gathers its output gradient, and both gradients come from
+those columns; a strided conv1d, or one whose input needs no gradient,
+gathers its input for the weight gradient; conv1d_transpose gathers its
+output gradient. The im2col window is a view on a contiguous buffer whose
+bounds numpy checks.
 Importing this module pins OpenBLAS to one thread for the process (see
 ``_one_blas_thread``). The second core is used one level up: where the
 process may use two CPUs, a backward sweep hands each large weight
@@ -274,10 +275,6 @@ def _add_grad(node, grad):
         node.grad, node.owns_grad = node.grad + grad, True
 
 
-def _node_of(tensor):
-    return None if tensor is None else tensor._node
-
-
 def _op(data, inputs, backward):
     """An op's result tensor; records ``backward(g)`` if an input needs a gradient.
 
@@ -323,8 +320,8 @@ class Parameter:
 # One core of three kernels: ``_correlate`` (pad, gather, one GEMM), its input
 # adjoint and its weight gradient. conv1d runs them forward. conv1d_transpose
 # is the input adjoint of the conv1d its weight describes: it runs the adjoint
-# forward and ``_correlate`` backward. Backward closures keep the input
-# tensor, not its gathered columns, which are K times its size.
+# forward and ``_correlate`` backward; both record ``_conv``'s one backward.
+# Its closures keep the input array, not its columns, K times its size.
 #
 # Only the adjoint picks gather or scatter. At stride 1 it is a full
 # correlation with the flipped, channel-swapped kernel, which skips the
@@ -346,8 +343,8 @@ def _one_blas_thread():
     the scheduler keeps that thread off a free CPU. On a 2-vCPU box that
     made a fresh process's first training operation up to 10x slower. The
     second core is used one level up instead: large weight gradients run on
-    a worker thread beside the backward sweep (see ``_weight_grad``), each
-    GEMM still on one BLAS thread.
+    a worker thread beside the backward sweep (see ``_conv``), each GEMM
+    still on one BLAS thread.
     """
     try:
         with open("/proc/self/maps") as maps:
@@ -369,7 +366,7 @@ _one_blas_thread()
 # weight gradients on a worker thread
 #
 # FTNet runs each stage's weights Q times, and only Adam reads their
-# gradients, so a sweep need not wait for them. ``_weight_grad`` hands one to
+# gradients, so a sweep need not wait for them. ``_conv`` hands one to
 # the worker when the weight is a leaf (the sweep never reads its gradient)
 # and its GEMM is at least ``_HANDOFF_MACS``, about 0.1 ms of GEMM on a 2-vCPU
 # Xeon, twice the ~50 us a thread handoff costs. The job regathers the
@@ -424,18 +421,6 @@ class _Handoff:
         for error in errors:
             if error is not None:
                 raise error
-
-
-def _weight_grad(node, macs, grad_fn, cols):
-    """Accumulate ``grad_fn(cols)`` into the weight ``node``, on the worker if it pays.
-
-    ``macs`` sizes the GEMM. A job gets ``grad_fn(None)``: it regathers the
-    columns instead of keeping the caller's.
-    """
-    if _handoff is not None and node.backward is None and macs >= _HANDOFF_MACS:
-        _handoff.submit(node, lambda: grad_fn(None))
-    else:
-        _accumulate(node, grad_fn(cols))
 
 
 def _gather(a, kernel, positions, stride, dilation):
@@ -515,6 +500,32 @@ def _correlate_dw(g, a, w, stride, dilation, pads, cols=None):
     return np.matmul(cols, g.transpose(0, 2, 1)).sum(axis=0).T.reshape(w.shape)
 
 
+def _conv(x, weight, bias, out_data, macs, input_grad, weight_grad):
+    """A conv's result ``out_data``, with the one backward both convs share.
+
+    ``input_grad(g)`` gives x's gradient and the columns it gathered, or None;
+    ``weight_grad(g, cols)`` regathers where ``cols`` is None, as on the worker.
+    """
+    xn, wn = x._node, weight._node
+    bn = None if bias is None else bias._node
+
+    def backprop(g):
+        cols = None
+        if xn is not None:
+            dx, cols = input_grad(g)
+            _accumulate(xn, dx)
+            del dx  # not held through the weight gradient's GEMM
+        if wn is not None:
+            if _handoff is not None and wn.backward is None and macs >= _HANDOFF_MACS:
+                _handoff.submit(wn, lambda: weight_grad(g, None))
+            else:
+                _accumulate(wn, weight_grad(g, cols))
+        if bn is not None:
+            _accumulate(bn, g.sum(axis=(0, 2), keepdims=True))
+
+    return _op(out_data, (xn, wn, bn), backprop)
+
+
 def conv1d(x, weight, bias=None, *, stride=1, dilation=1, pad_left=0, pad_right=0):
     """Strided, dilated cross-correlation along the length axis.
 
@@ -538,30 +549,18 @@ def conv1d(x, weight, bias=None, *, stride=1, dilation=1, pad_left=0, pad_right=
     out_data = _correlate(a, w, stride, dilation, pads, out_len)[0]
     if bias is not None:
         out_data += bias.data
-    xn, wn, bn = x._node, weight._node, _node_of(bias)
-    macs = w.size * len(a) * out_len
-    reach = dilation * (kernel - 1)
-
-    def backprop(g):
-        cols = None
-        if xn is not None:
-            dx, cols = _correlate_adjoint(g, w, stride, dilation, pads, length)
-            _accumulate(xn, dx)
-            del dx  # not held through the weight gradient's GEMM
-        if wn is not None:
-            _weight_grad(wn, macs, lambda cols: weight_grad(g, cols), cols)
-        if bn is not None:
-            _accumulate(bn, g.sum(axis=(0, 2), keepdims=True))
+    from_g_cols = stride == 1 and x._node is not None
 
     def weight_grad(g, cols):
-        if stride > 1 or xn is None:
+        if not from_g_cols:
             return _correlate_dw(g, a, w, stride, dilation, pads)
         # From g's columns, as the adjoint gathers them: its weight gradient, flipped back.
         dw = _correlate_dw(a, g, w.transpose(1, 0, 2), 1, dilation,
-                           (reach - pad_left, reach - pad_right), cols)
+                           (span - 1 - pad_left, span - 1 - pad_right), cols)
         return dw[:, :, ::-1].transpose(1, 0, 2)
 
-    return _op(out_data, (xn, wn, bn), backprop)
+    return _conv(x, weight, bias, out_data, w.size * len(a) * out_len,
+                 lambda g: _correlate_adjoint(g, w, stride, dilation, pads, length), weight_grad)
 
 
 def conv1d_transpose(x, weight, bias=None, *, stride=1, pad=0, output_pad=0):
@@ -586,22 +585,11 @@ def conv1d_transpose(x, weight, bias=None, *, stride=1, pad=0, output_pad=0):
     a, w = x.data, weight.data
     out_data = _correlate_adjoint(a, w, stride, 1, pads, out_len)[0]
     if bias is not None:
-        out_data = out_data + bias.data
-    xn, wn, bn = x._node, weight._node, _node_of(bias)
-    macs = w.size * len(a) * length
-
-    def backprop(g):
-        cols = None
-        if xn is not None:
-            dx, cols = _correlate(g, w, stride, 1, pads, length)
-            _accumulate(xn, dx)
-            del dx  # not held through the weight gradient's GEMM
-        if wn is not None:  # that conv1d's input is g, its output gradient x
-            _weight_grad(wn, macs, lambda cols: _correlate_dw(a, g, w, stride, 1, pads, cols), cols)
-        if bn is not None:
-            _accumulate(bn, g.sum(axis=(0, 2), keepdims=True))
-
-    return _op(out_data, (xn, wn, bn), backprop)
+        out_data = out_data + bias.data  # a new array: the cropped output is a view
+    # The weight gradient is that conv1d's, whose input is g and output gradient x.
+    return _conv(x, weight, bias, out_data, w.size * len(a) * length,
+                 lambda g: _correlate(g, w, stride, 1, pads, length),
+                 lambda g, cols: _correlate_dw(a, g, w, stride, 1, pads, cols))
 
 
 # ---------------------------------------------------------------------------

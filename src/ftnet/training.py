@@ -59,6 +59,8 @@ class TrainState:
     sample_rate: int | None = None
 
     def validate_invariants(self):
+        if self.epoch != len(self.val_history):
+            raise ConfigError(f"epoch {self.epoch} but {len(self.val_history)} validation losses")
         if self.lr <= 0:
             raise ConfigError(f"lr must stay positive, got {self.lr}")
         if self.consec_increase > self.total_increase_events:

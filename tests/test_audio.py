@@ -158,6 +158,16 @@ def test_frame_rejects_empty_and_bad_args():
         audio.frame_signal(np.zeros(10), hop=0)
 
 
+def test_hop_longer_than_a_frame_is_rejected():
+    # Frames 512 samples long, 1024 apart, would leave 976 of 2,000 samples
+    # in no frame, and overlap-add would return NaN for exactly those.
+    with pytest.raises(UsageError, match="hop 1024 exceeds frame_len 512"):
+        audio.frame_signal(np.ones(2000), frame_len=512, hop=1024)
+    frames = np.ones((2, 1, 512))
+    with pytest.raises(UsageError, match="hop 1024 must lie in"):
+        audio.overlap_add(audio.FrameBatch(frames, hop=1024, original_length=1536))
+
+
 # ---------------------------------------------------------------------------
 # overlap-add
 

@@ -269,6 +269,34 @@ def test_train_resume_rejects_a_log_that_lacks_the_checkpoint_epochs(corpus, cap
     assert "run.csv" in capsys.readouterr().err
 
 
+def test_train_resume_from_a_checkpoint_with_a_negative_epoch_exits_format_code(corpus, capsys):
+    ckpt, log, _ = run_training(corpus, capsys)
+    rewrite_header(ckpt, ckpt, lambda h: h["train_state"].update(epoch=-1))
+    logged = log.read_text()
+    assert train(corpus, "--resume") == 5
+    assert "run.ckpt" in capsys.readouterr().err
+    assert log.read_text() == logged
+
+
+@pytest.mark.parametrize("name, command", [
+    ("micro.cfg", lambda corpus: cli.main(["analyze", "--config", str(corpus / "micro.cfg")])),
+    ("manifest.tsv", lambda corpus: cli.main([
+        "mix", "--manifest", str(corpus / "manifest.tsv"),
+        "--noise-dir", str(corpus / "corpus" / "noise"), "--out-dir", str(corpus / "out"),
+    ])),
+    ("run.csv", lambda corpus: train(corpus, "--resume")),
+], ids=["config", "manifest", "log"])
+def test_a_text_file_that_is_not_utf8_exits_format_code(corpus, capsys, name, command):
+    if name == "run.csv":
+        run_training(corpus, capsys)
+    path = corpus / name
+    path.write_bytes(b"\xff" + path.read_bytes())
+    damaged = path.read_bytes()
+    assert command(corpus) == 5
+    assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+    assert path.read_bytes() == damaged
+
+
 @pytest.mark.parametrize("flags, config_line, key", [
     (["--lr", "-1"], "", "lr"),
     (["--lr", "0"], "", "lr"),
@@ -451,15 +479,21 @@ def test_train_records_its_rate_and_enhance_rejects_another(corpus, capsys):
     assert not out.exists() and not stages.exists()
 
 
-def as_version_1(path, dest):
-    """Rewrite a checkpoint as format version 1, which records no sample rate."""
+def rewrite_header(path, dest, edit, version=None):
+    """Copy a checkpoint to ``dest`` with ``edit`` applied to its header (and a new version)."""
     raw = path.read_bytes()
     header_len = struct.unpack("<Q", raw[8:16])[0]
     header = json.loads(raw[16 : 16 + header_len])
-    del header["train_state"]["sample_rate"]
+    edit(header)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    dest.write_bytes(raw[:4] + struct.pack("<IQ", 1, len(blob)) + blob + raw[16 + header_len :])
+    stamp = raw[4:8] if version is None else struct.pack("<I", version)
+    dest.write_bytes(raw[:4] + stamp + struct.pack("<Q", len(blob)) + blob + raw[16 + header_len :])
     return dest
+
+
+def as_version_1(path, dest):
+    """Rewrite a checkpoint as format version 1, which records no sample rate."""
+    return rewrite_header(path, dest, lambda h: h["train_state"].pop("sample_rate"), version=1)
 
 
 def test_version_1_checkpoint_still_loads_and_enhances(corpus, capsys):

@@ -460,6 +460,16 @@ def test_checkpoint_rejects_a_malformed_index_entry(tmp_path, edit_header):
         checkpoint_load(path)
 
 
+@pytest.mark.parametrize("epoch", [-1, 0, 2], ids=["negative", "behind", "ahead"])
+def test_checkpoint_rejects_an_epoch_that_does_not_count_the_validated_ones(tmp_path, epoch):
+    params, state, _ = trained_params_state(epochs=1)
+    path = tmp_path / "bad.ckpt"
+    checkpoint_save(params, state, path)
+    rewrite_container(path, lambda h: h["train_state"].update(epoch=epoch))
+    with pytest.raises(FormatError, match=f"epoch {epoch} but 1 validation losses"):
+        checkpoint_load(path)
+
+
 def test_checkpoint_load_holds_little_more_than_the_file_and_the_model(tmp_path):
     # The file's bytes plus the model they fill: about twice the file size.
     # A second copy of the payload would push the peak past three times it.
