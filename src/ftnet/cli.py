@@ -29,6 +29,7 @@ from .errors import (
     _read_text,
 )
 from .mixer import (
+    TRAIN_VAL_SNRS,
     MixManifest,
     MixRecord,
     NoiseBank,
@@ -110,12 +111,6 @@ def _format_value(value):
     return str(value)
 
 
-def echo_config(settings, out=None):
-    out = out or sys.stdout
-    for key in sorted(settings):
-        print(f"config:{key}={_format_value(settings[key])}", file=out)
-
-
 def _check_train_setting(key, value):
     if type(TRAIN_DEFAULTS[key]) is int:
         ok, want = type(value) is int and value >= 1, "an integer >= 1"
@@ -129,48 +124,31 @@ def resolve_settings(args):
     """Merge defaults <- config file <- explicit CLI flags, then check the
     training settings; a bad value raises ConfigError naming its key."""
     overrides = load_config_file(args.config) if getattr(args, "config", None) else {}
-    model = {k: v for k, v in overrides.items() if k in MODEL_KEYS}
-    train = dict(TRAIN_DEFAULTS)
-    train.update({k: v for k, v in overrides.items() if k in TRAIN_KEYS})
-    for key in MODEL_KEYS:
+    for key in MODEL_KEYS | TRAIN_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
-            model[key] = flag
-    for key in TRAIN_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            train[key] = flag
+            overrides[key] = flag
+    train = {**TRAIN_DEFAULTS, **{k: v for k, v in overrides.items() if k in TRAIN_KEYS}}
     for key, value in train.items():
         _check_train_setting(key, value)
-    try:
-        config = ModelConfig.from_dict(model) if model else ModelConfig()
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
-    return config, train
+    return ModelConfig.from_dict({k: v for k, v in overrides.items() if k in MODEL_KEYS}), train
 
 
 def _echo_run(command, config=None, extra=None):
     settings = {"command": command}
     if config is not None:
         settings.update(config.to_dict())
-    if extra:
-        settings.update(extra)
-    echo_config(settings)
-
-
-def _resolve_clean_path(manifest_path, record_path):
-    p = pathlib.Path(record_path)
-    if not p.is_absolute():
-        p = pathlib.Path(manifest_path).parent / p
-    return str(p)
+    settings.update(extra or {})
+    for key in sorted(settings):
+        print(f"config:{key}={_format_value(settings[key])}")
 
 
 def _load_manifest_pairs(args, train, seed):
-    """Shared by mix and train: manifest + noise dir -> list of MixedPair."""
-    manifest = MixManifest([
-        replace(r, clean_path=_resolve_clean_path(args.manifest, r.clean_path))
-        for r in MixManifest.load(args.manifest)
-    ])
+    """Shared by mix and train: manifest + noise dir -> list of MixedPair.
+    A clean path is relative to the manifest's directory unless absolute."""
+    base = pathlib.Path(args.manifest).parent
+    manifest = MixManifest([replace(r, clean_path=str(base / r.clean_path))
+                            for r in MixManifest.load(args.manifest)])
     bank = NoiseBank.from_dir(args.noise_dir, seed=seed)
     target_len = int(round(train["target_seconds"] * bank.sample_rate))
     if target_len < 1:
@@ -191,6 +169,8 @@ def cmd_synth(args):
         raise ConfigError(f"clip counts must be >= 0, got {args.n_clean} clean, {args.n_noise} noise")
     if args.sample_rate < 1:
         raise ConfigError(f"sample rate must be >= 1 Hz, got {args.sample_rate}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     for key in ("clean_seconds", "noise_seconds"):
         samples = getattr(args, key) * args.sample_rate
         if not (math.isfinite(samples) and round(samples) >= 1):
@@ -218,7 +198,7 @@ def cmd_synth(args):
         clip = synth_noise(args.noise_seconds, rng, sample_rate=args.sample_rate)
         write_wav(noise_dir / f"noise_{i:03d}.wav", clip, sample_rate=args.sample_rate)
     if args.emit_manifest:
-        snrs = list(range(-5, 11))
+        snrs = sorted(TRAIN_VAL_SNRS)
         n_val = max(1, args.n_clean // 5) if args.n_clean > 1 else 0
         records = []
         for i, path in enumerate(clean_paths):

@@ -122,7 +122,7 @@ class MixManifest:
         if r.split not in ("train", "val", "test"):
             raise FormatError(f"unknown split {r.split!r} for {r.clean_path}")
         snr = r.snr_db
-        if snr != int(snr):
+        if not float(snr).is_integer():
             raise FormatError(f"SNR must be a whole dB value, got {snr}")
         allowed = TEST_SNRS if r.split == "test" else TRAIN_VAL_SNRS
         if int(snr) not in allowed:
@@ -150,7 +150,9 @@ class MixManifest:
             try:
                 snr = float(cols[1])
             except ValueError:
-                raise FormatError(f"line {lineno}: bad SNR value {cols[1]!r}") from None
+                snr = np.nan
+            if not np.isfinite(snr):
+                raise FormatError(f"line {lineno}: bad SNR value {cols[1]!r}")
             cut = crop = None
             if len(cols) == 5:
                 try:

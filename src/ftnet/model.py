@@ -85,6 +85,8 @@ class ModelConfig:
             raise ConfigError(f"glu_bottleneck must be positive, got {self.glu_bottleneck}")
         if self.stages < 1:
             raise ConfigError(f"stages must be >= 1, got {self.stages}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def bottleneck_len(self):

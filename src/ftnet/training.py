@@ -61,8 +61,11 @@ class TrainState:
     def validate_invariants(self):
         if self.epoch != len(self.val_history):
             raise ConfigError(f"epoch {self.epoch} but {len(self.val_history)} validation losses")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must stay positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must stay positive and finite, got {self.lr}")
+        for key in ("total_increase_events", "consec_increase", "rng_state"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.consec_increase > self.total_increase_events:
             raise ConfigError("consecutive increases exceed total increase events")
         if self.val_history and self.best_val != min(self.val_history):
@@ -111,14 +114,11 @@ def format_log_row(row):
 
 
 def _stacked_frames(pairs, config):
-    """Frame every utterance in the batch and stack along the batch axis."""
-    noisy = np.concatenate(
-        [frame_signal(p.noisy, config.frame_len, config.hop).frames for p in pairs]
+    """Frame every utterance in the batch and stack along the batch axis: (noisy, clean)."""
+    return tuple(
+        np.concatenate([frame_signal(clip, config.frame_len, config.hop).frames for clip in clips])
+        for clips in ([p.noisy for p in pairs], [p.clean for p in pairs])
     )
-    clean = np.concatenate(
-        [frame_signal(p.clean, config.frame_len, config.hop).frames for p in pairs]
-    )
-    return noisy, clean
 
 
 def _block_losses(params, noisy, clean):

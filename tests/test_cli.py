@@ -111,6 +111,30 @@ def test_synth_manifest_outside_the_corpus_resolves_every_clip(tmp_path, capsys,
     assert len(list((tmp_path / "pairs").glob("pair_*_clean.wav"))) == 3
 
 
+def test_a_flag_beats_the_config_file_for_model_and_training_keys(corpus, capsys):
+    argv = ["mix", "--manifest", str(corpus / "manifest.tsv"),
+            "--noise-dir", str(corpus / "corpus" / "noise"), "--config", str(corpus / "micro.cfg")]
+    assert cli.main(argv + ["--out-dir", str(corpus / "from_file")]) == 0
+    from_file = capsys.readouterr().out.splitlines()
+    assert {"config:seed=3", "config:target_seconds=0.1"} <= set(from_file)
+    assert cli.main(argv + ["--out-dir", str(corpus / "from_flags"),
+                            "--seed", "9", "--target-seconds", "0.2"]) == 0
+    from_flags = capsys.readouterr().out.splitlines()
+    assert {"config:seed=9", "config:target_seconds=0.2"} <= set(from_flags)
+
+
+def test_mix_keeps_an_absolute_clean_path(corpus, capsys):
+    clean = (corpus / "corpus" / "clean" / "clean_000.wav").resolve()
+    manifest = corpus / "lists" / "absolute.tsv"
+    manifest.parent.mkdir()
+    manifest.write_text(f"{clean}\t0\ttrain\n")
+    out = corpus / "pairs"
+    assert cli.main(["mix", "--manifest", str(manifest), "--noise-dir", str(corpus / "corpus" / "noise"),
+                     "--out-dir", str(out), "--target-seconds", "0.1"]) == 0
+    capsys.readouterr()
+    assert [r.clean_path for r in MixManifest.load(out / "manifest.resolved.tsv")] == [str(clean)]
+
+
 def test_sample_rate_is_not_a_setting(corpus, capsys):
     # The rate comes from the corpus; asking for another one fails loudly.
     base = ["--manifest", str(corpus / "manifest.tsv"),
@@ -278,6 +302,63 @@ def test_train_resume_from_a_checkpoint_with_a_negative_epoch_exits_format_code(
     assert log.read_text() == logged
 
 
+@pytest.mark.parametrize("edit", [
+    {"consec_increase": -1},
+    {"consec_increase": -3, "total_increase_events": -1},
+    {"rng_state": -1},
+    {"lr": float("nan")},
+    {"lr": float("inf")},
+], ids=["negative-streak", "negative-events", "negative-rng-state", "nan-lr", "infinite-lr"])
+def test_a_checkpoint_with_a_bad_train_state_exits_format_code(corpus, capsys, edit):
+    ckpt, log, _ = run_training(corpus, capsys, ["--max-epochs", "1"])
+    rewrite_header(ckpt, ckpt, lambda h: h["train_state"].update(edit))
+    logged, saved = log.read_text(), ckpt.read_bytes()
+    assert train(corpus, "--resume", "--max-epochs", "2") == 5
+    out = corpus / "enhanced.wav"
+    assert cli.main(["enhance", "--checkpoint", str(ckpt), "--out", str(out),
+                     "--in", str(corpus / "corpus" / "clean" / "clean_000.wav")]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("run.ckpt: malformed header" in line for line in err)
+    assert log.read_text() == logged and ckpt.read_bytes() == saved and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "mix", "train"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_negative_seed_exits_config_code_without_files(corpus, capsys, command, source):
+    cfg = corpus / "seed.cfg"
+    cfg.write_text(MICRO_CONFIG + ("seed = -1\n" if source == "config" else ""))
+    out, log = corpus / "out", corpus / "out.csv"
+    inputs = ["--manifest", str(corpus / "manifest.tsv"), "--noise-dir", str(corpus / "corpus" / "noise")]
+    argv = {
+        "analyze": ["analyze"],
+        "mix": ["mix", *inputs, "--out-dir", str(out)],
+        "train": ["train", *inputs, "--out", str(out), "--log", str(log)],
+    }[command] + ["--config", str(cfg)] + (["--seed", "-1"] if source == "flag" else [])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: seed must be >= 0, got -1" in captured.err
+    assert "config:" not in captured.out
+    assert not out.exists() and not log.exists()
+
+
+@pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["mix", "train"])
+def test_a_non_finite_manifest_snr_exits_format_code(corpus, capsys, command, snr):
+    first = MixManifest.load(corpus / "manifest.tsv").records[0]
+    manifest = corpus / "bad.tsv"
+    manifest.write_text(f"{first.clean_path}\t0\ttrain\n{first.clean_path}\t{snr}\tval\n")
+    out, log = corpus / "out", corpus / "out.csv"
+    inputs = ["--manifest", str(manifest), "--noise-dir", str(corpus / "corpus" / "noise")]
+    argv = {
+        "mix": ["mix", *inputs, "--out-dir", str(out)],
+        "train": ["train", *inputs, "--out", str(out), "--log", str(log),
+                  "--config", str(corpus / "micro.cfg")],
+    }[command]
+    assert cli.main(argv) == 5
+    assert f"error: line 2: bad SNR value '{snr}'" in capsys.readouterr().err
+    assert not out.exists() and not log.exists()
+
+
 @pytest.mark.parametrize("name, command", [
     ("micro.cfg", lambda corpus: cli.main(["analyze", "--config", str(corpus / "micro.cfg")])),
     ("manifest.tsv", lambda corpus: cli.main([
@@ -375,6 +456,7 @@ def test_target_seconds_under_one_sample_exits_config_code_without_files(corpus,
     ("--sample-rate", "-16000", "sample rate must be >= 1 Hz"),
     ("--n-clean", "-3", "clip counts must be >= 0"),
     ("--n-noise", "-1", "clip counts must be >= 0"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
 ])
 def test_synth_degenerate_size_exits_config_code_without_files(tmp_path, capsys, flag, value,
                                                                message):

@@ -233,6 +233,9 @@ def test_manifest_skips_comments_and_blanks():
         "a.wav\t0\tdev",        # unknown split
         "a.wav\t0",             # missing column
         "a.wav\tloud\ttrain",   # unparsable SNR
+        "a.wav\tnan\ttrain",    # not a number
+        "a.wav\tinf\tval",      # infinite
+        "a.wav\t-inf\ttrain",
     ],
 )
 def test_manifest_rejects_bad_records(line):

@@ -64,6 +64,7 @@ def test_config_defaults_are_the_reference_plan():
         dict(stages=0),
         dict(hop=0),
         dict(hop=4096),
+        dict(seed=-1),
     ],
 )
 def test_config_rejects_bad_values(bad):

@@ -2,6 +2,7 @@
 
 import errno
 import json
+import math
 import struct
 import tracemalloc
 from types import SimpleNamespace
@@ -467,6 +468,22 @@ def test_checkpoint_rejects_an_epoch_that_does_not_count_the_validated_ones(tmp_
     checkpoint_save(params, state, path)
     rewrite_container(path, lambda h: h["train_state"].update(epoch=epoch))
     with pytest.raises(FormatError, match=f"epoch {epoch} but 1 validation losses"):
+        checkpoint_load(path)
+
+
+@pytest.mark.parametrize("edit, named", [
+    ({"consec_increase": -1}, "consec_increase must be >= 0"),
+    ({"consec_increase": -3, "total_increase_events": -1}, "total_increase_events must be >= 0"),
+    ({"rng_state": -1}, "rng_state must be >= 0"),
+    ({"lr": math.nan}, "lr must stay positive and finite"),
+    ({"lr": math.inf}, "lr must stay positive and finite"),
+], ids=["negative-streak", "negative-events", "negative-rng-state", "nan-lr", "infinite-lr"])
+def test_checkpoint_rejects_negative_counts_and_a_non_finite_lr(tmp_path, edit, named):
+    params, state, _ = trained_params_state(epochs=1)
+    path = tmp_path / "bad.ckpt"
+    checkpoint_save(params, state, path)
+    rewrite_container(path, lambda h: h["train_state"].update(edit))
+    with pytest.raises(FormatError, match=named):
         checkpoint_load(path)
 
 
