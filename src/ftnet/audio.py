@@ -72,10 +72,6 @@ class FrameBatch:
     hop: int
     original_length: int
 
-    @property
-    def frame_len(self):
-        return self.frames.shape[2]
-
     def __len__(self):
         return self.frames.shape[0]
 

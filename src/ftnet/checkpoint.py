@@ -12,7 +12,9 @@ Layout, all little-endian:
 
 Version 2 adds ``sample_rate`` (Hz, or null) to train_state, so that
 enhancing can reject audio at another rate than the training audio.
-Version 1 files still load, with the rate unknown.
+Version 1 files still load, with the rate unknown. A train_state whose
+increase counts or best_val disagree with its validation losses, or
+whose losses are not all finite, does not load.
 
 The header JSON is serialized with sorted keys and no whitespace and the
 container carries no timestamps, so saving the same state twice produces
@@ -92,7 +94,8 @@ def checkpoint_load(path):
     """Read a container back into (FTNetParams, TrainState).
 
     Any structural problem (bad magic, unknown version, truncation, a
-    config, train state or index entry that fails its invariants, index not
+    config, train state or index entry that fails its invariants, stored
+    counts or best_val that the train state's losses contradict, index not
     matching the config's parameter set) raises FormatError without
     returning partial state.
     """

@@ -85,13 +85,6 @@ class NoiseBank:
             raise FormatError(f"noise files under {noise_dir} differ in sample rate: {found}")
         return cls.from_clips(clips, seed, rates[0])
 
-    def segment(self, start, length):
-        if not 0 <= start <= len(self) - length:
-            raise UsageError(
-                f"segment [{start}, {start + length}) outside bank of {len(self)}"
-            )
-        return self.samples[start : start + length]
-
 
 @dataclass(frozen=True)
 class MixRecord:
@@ -323,7 +316,7 @@ def build_dataset(manifest, bank, seed=None, *, target_len, clean_loader=None):
                 f"{named}: cut_point {cut} outside [0, {len(bank) - target_len}] "
                 f"for a {len(bank)}-sample noise bank and a {target_len}-sample target"
             )
-        noise_seg = bank.segment(cut, target_len)
+        noise_seg = bank.samples[cut : cut + target_len]
         result = mix_at_snr(clean, noise_seg, record.snr_db)
         yield MixedPair(
             noisy=result.mixture,

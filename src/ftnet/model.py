@@ -89,10 +89,6 @@ class ModelConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
-    def bottleneck_len(self):
-        return self.frame_len >> (len(self.encoder_channels) - 1)
-
-    @property
     def block_frames(self):
         """Frames per forward pass in enhance, validation and training.
 

@@ -175,9 +175,6 @@ class Tensor:
         """Same values, no gradient and no graph attachment."""
         return Tensor(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         """Populate ``grad`` on every requires_grad leaf reachable from here.
 

@@ -11,6 +11,7 @@ interrupted run resumed from a checkpoint walks the identical trajectory.
 
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -46,30 +47,41 @@ class TrainState:
     rng_state is the run's master seed; epoch e draws its shuffle from the
     stream (rng_state, e). epoch counts completed epochs (0-based while
     running). sample_rate is the training audio's rate in Hz, or None
-    where it is unknown.
+    where it is unknown. The schedule's counts and best_val are derived
+    from val_history; to_dict records them and from_dict checks them.
     """
 
     epoch: int = 0
     lr: float = LR
     val_history: list = field(default_factory=list)
-    consec_increase: int = 0
-    total_increase_events: int = 0
-    best_val: float = math.inf
     rng_state: int = 0
     sample_rate: int | None = None
+
+    @property
+    def total_increase_events(self):
+        return sum(after > before for before, after in pairwise(self.val_history))
+
+    @property
+    def consec_increase(self):
+        """Increases in a row at the end of val_history, since the last halving."""
+        streak = 0
+        for before, after in pairwise(self.val_history):
+            streak = (streak + 1) % HALVE_AFTER if after > before else 0
+        return streak
+
+    @property
+    def best_val(self):
+        return min(self.val_history, default=math.inf)
 
     def validate_invariants(self):
         if self.epoch != len(self.val_history):
             raise ConfigError(f"epoch {self.epoch} but {len(self.val_history)} validation losses")
+        if not all(map(math.isfinite, self.val_history)):
+            raise ConfigError(f"val_history must hold finite losses, got {self.val_history}")
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"lr must stay positive and finite, got {self.lr}")
-        for key in ("total_increase_events", "consec_increase", "rng_state"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
-        if self.consec_increase > self.total_increase_events:
-            raise ConfigError("consecutive increases exceed total increase events")
-        if self.val_history and self.best_val != min(self.val_history):
-            raise ConfigError("best_val out of sync with val_history")
+        if self.rng_state < 0:
+            raise ConfigError(f"rng_state must be >= 0, got {self.rng_state}")
         if self.sample_rate is not None and self.sample_rate <= 0:
             raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
 
@@ -87,17 +99,21 @@ class TrainState:
 
     @classmethod
     def from_dict(cls, d):
+        """Rebuild a state; stored counts or a best_val that val_history contradicts fail."""
         state = cls(
             epoch=int(d["epoch"]),
             lr=float(d["lr"]),
             val_history=[float(v) for v in d["val_history"]],
-            consec_increase=int(d["consec_increase"]),
-            total_increase_events=int(d["total_increase_events"]),
-            best_val=math.inf if d["best_val"] is None else float(d["best_val"]),
             rng_state=int(d["rng_state"]),
             sample_rate=None if d["sample_rate"] is None else int(d["sample_rate"]),
         )
         state.validate_invariants()
+        implied = state.to_dict()
+        wrong = [f"{key} {d[key]} (val_history implies {implied[key]})"
+                 for key in ("consec_increase", "total_increase_events", "best_val")
+                 if d[key] != implied[key]]
+        if wrong:
+            raise ConfigError("; ".join(wrong))
         return state
 
 
@@ -203,23 +219,14 @@ def schedule_update(state, new_val_loss, *, max_epochs=MAX_EPOCHS):
     DegenerateSignalError before the state changes.
     """
     _require_finite(new_val_loss, "validation loss")
-    previous = state.val_history[-1] if state.val_history else None
-    if previous is not None and new_val_loss > previous:
-        state.consec_increase += 1
-        state.total_increase_events += 1
-    else:
-        state.consec_increase = 0
+    previous = state.val_history[-1] if state.val_history else math.inf
     state.val_history.append(float(new_val_loss))
-    state.best_val = min(state.best_val, float(new_val_loss))
-    action = "continue"
-    if state.consec_increase >= HALVE_AFTER:
-        state.lr *= 0.5
-        state.consec_increase = 0
-        action = "halve_lr"
-    if state.total_increase_events >= STOP_AFTER:
-        action = "stop"
     state.epoch += 1
-    if state.epoch >= max_epochs:
+    action = "continue"
+    if new_val_loss > previous and state.consec_increase == 0:  # this increase completed a streak
+        state.lr *= 0.5
+        action = "halve_lr"
+    if state.total_increase_events >= STOP_AFTER or state.epoch >= max_epochs:
         action = "stop"
     return action
 

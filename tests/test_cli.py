@@ -308,12 +308,17 @@ def test_train_resume_from_a_checkpoint_with_a_negative_epoch_exits_format_code(
     {"rng_state": -1},
     {"lr": float("nan")},
     {"lr": float("inf")},
-], ids=["negative-streak", "negative-events", "negative-rng-state", "nan-lr", "infinite-lr"])
+    {"val_history": [1.0, float("nan")], "best_val": 1.0},
+    {"epoch": 1, "val_history": [float("inf")], "best_val": None},
+    # Were these counts trusted, the next increase would halve lr and stop the run.
+    {"val_history": [0.5, 0.4], "consec_increase": 2, "total_increase_events": 9, "best_val": 0.4},
+], ids=["negative-streak", "negative-events", "negative-rng-state", "nan-lr", "infinite-lr",
+        "nan-loss", "infinite-loss", "counts-the-losses-contradict"])
 def test_a_checkpoint_with_a_bad_train_state_exits_format_code(corpus, capsys, edit):
-    ckpt, log, _ = run_training(corpus, capsys, ["--max-epochs", "1"])
+    ckpt, log, _ = run_training(corpus, capsys)
     rewrite_header(ckpt, ckpt, lambda h: h["train_state"].update(edit))
     logged, saved = log.read_text(), ckpt.read_bytes()
-    assert train(corpus, "--resume", "--max-epochs", "2") == 5
+    assert train(corpus, "--resume", "--max-epochs", "4") == 5
     out = corpus / "enhanced.wav"
     assert cli.main(["enhance", "--checkpoint", str(ckpt), "--out", str(out),
                      "--in", str(corpus / "corpus" / "clean" / "clean_000.wav")]) == 5

@@ -1,6 +1,7 @@
-"""Every name that an ftnet module exports resolves, and every private helper is used."""
+"""Every name that an ftnet module exports resolves, and every helper and public name is used."""
 
 import ast
+import collections
 import importlib
 import pathlib
 import pkgutil
@@ -20,15 +21,15 @@ def test_every_exported_name_resolves(name):
 
 
 def names_in(stmt):
-    """The names a statement reads: bare names, attributes and imported names."""
-    names = set()
+    """How often a statement reads each name: bare names, attributes and imported names."""
+    names = collections.Counter()
     for node in ast.walk(stmt):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names[node.attr] += 1
         elif isinstance(node, ast.alias):
-            names.add(node.name)
+            names[node.name] += 1
     return names
 
 
@@ -46,3 +47,22 @@ def test_every_private_helper_has_a_caller():
         and not any(stmt.name in names for other, names in zip(statements, used) if other is not stmt)
     ]
     assert orphans == []
+
+
+def test_every_public_name_has_a_caller():
+    """Each public function, class, method and property defined in ftnet is
+    referenced beyond its own definition, in ftnet or in the benchmark
+    runner, so an API that nothing calls fails. It matches by name only:
+    a name that something else also uses (such as ``frame_len``) passes."""
+    src = pathlib.Path(ftnet.__file__).parent
+    bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    own = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))]
+    runner = [ast.parse((bench / name).read_text(encoding="utf-8"))
+              for name in ("run.py", "spans.py", "selftest.py")]
+    used = sum((names_in(tree) for tree in own + runner), collections.Counter())
+    unused = [
+        node.name for tree in own for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and used[node.name] == names_in(node)[node.name]
+    ]
+    assert unused == []

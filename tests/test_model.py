@@ -47,7 +47,6 @@ def test_config_defaults_are_the_reference_plan():
     assert cfg.encoder_channels == (16, 16, 32, 64, 128)
     assert cfg.glu_dilations == (1, 2, 4, 8, 16, 32)
     assert cfg.glu_bottleneck == 64
-    assert cfg.bottleneck_len == 128
 
 
 @pytest.mark.parametrize(
@@ -233,7 +232,7 @@ def test_convgru_rejects_mismatched_state():
 def test_glu_preserves_shape_and_uses_residual():
     cfg = tiny_config()
     params = M.build_model(cfg)
-    x = RNG.standard_normal((2, 8, cfg.bottleneck_len))
+    x = RNG.standard_normal((2, 8, cfg.frame_len >> (len(cfg.encoder_channels) - 1)))
     out = M.glu_forward(params, Tensor(x), 1)
     assert out.shape == x.shape
     # Zeroing the widening conv must reduce the block to the identity.

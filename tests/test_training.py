@@ -1,6 +1,7 @@
 """Harness behavior: epochs, scheduling, persistence, resume trajectories."""
 
 import errno
+import itertools
 import json
 import math
 import struct
@@ -9,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftnet import checkpoint, mixer, training
 from ftnet.audio import frame_signal
@@ -472,12 +475,16 @@ def test_checkpoint_rejects_an_epoch_that_does_not_count_the_validated_ones(tmp_
 
 
 @pytest.mark.parametrize("edit, named", [
-    ({"consec_increase": -1}, "consec_increase must be >= 0"),
-    ({"consec_increase": -3, "total_increase_events": -1}, "total_increase_events must be >= 0"),
+    ({"consec_increase": -1}, r"consec_increase -1 \(val_history implies 0\)"),
+    ({"consec_increase": -3, "total_increase_events": -1},
+     r"total_increase_events -1 \(val_history implies 0\)"),
     ({"rng_state": -1}, "rng_state must be >= 0"),
     ({"lr": math.nan}, "lr must stay positive and finite"),
     ({"lr": math.inf}, "lr must stay positive and finite"),
-], ids=["negative-streak", "negative-events", "negative-rng-state", "nan-lr", "infinite-lr"])
+    ({"epoch": 2, "val_history": [1.0, math.nan], "best_val": 1.0}, "must hold finite losses"),
+    ({"val_history": [math.inf], "best_val": None}, "must hold finite losses"),
+], ids=["negative-streak", "negative-events", "negative-rng-state", "nan-lr", "infinite-lr",
+        "nan-loss", "infinite-loss"])
 def test_checkpoint_rejects_negative_counts_and_a_non_finite_lr(tmp_path, edit, named):
     params, state, _ = trained_params_state(epochs=1)
     path = tmp_path / "bad.ckpt"
@@ -485,6 +492,63 @@ def test_checkpoint_rejects_negative_counts_and_a_non_finite_lr(tmp_path, edit, 
     rewrite_container(path, lambda h: h["train_state"].update(edit))
     with pytest.raises(FormatError, match=named):
         checkpoint_load(path)
+
+
+def replay_with_counters(losses, max_epochs):
+    """The schedule with its streak, event count and best loss kept as
+    counters beside the history: (action, lr, streak, events, best) after
+    each loss."""
+    lr, streak, events, best, previous = training.LR, 0, 0, math.inf, None
+    steps = []
+    for epoch, loss in enumerate(losses, 1):
+        if previous is not None and loss > previous:
+            streak, events = streak + 1, events + 1
+        else:
+            streak = 0
+        best, previous = min(best, loss), loss
+        action = "continue"
+        if streak >= training.HALVE_AFTER:
+            lr, streak, action = lr * 0.5, 0, "halve_lr"
+        if events >= training.STOP_AFTER or epoch >= max_epochs:
+            action = "stop"
+        steps.append((action, lr, streak, events, best))
+    return steps
+
+
+@st.composite
+def loss_walks(draw):
+    """1-60 finite losses walking up, level or down by drawn steps, so that
+    runs of increases, ties and drops all occur."""
+    start, size = draw(st.floats(0.01, 10.0)), draw(st.floats(1e-4, 1.0))
+    n = draw(st.integers(0, 59))
+    steps = draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+    return [start + size * k for k in itertools.accumulate(steps, initial=0)]
+
+
+@settings(max_examples=20)
+@given(losses=loss_walks(), max_epochs=st.integers(1, 70))
+def test_derived_counts_match_a_replay_with_counters_and_every_state_roundtrips(
+        tmp_path_factory, losses, max_epochs):
+    params = build_model(micro_config())
+    path = tmp_path_factory.mktemp("schedule") / "run.ckpt"
+    state = TrainState()
+    for loss, want in zip(losses, replay_with_counters(losses, max_epochs)):
+        action = schedule_update(state, loss, max_epochs=max_epochs)
+        got = (action, state.lr, state.consec_increase, state.total_increase_events, state.best_val)
+        assert got == want
+        checkpoint_save(params, state, path)
+        saved = path.read_bytes()
+        loaded_params, loaded_state = checkpoint_load(path)
+        assert loaded_state == state
+        checkpoint_save(loaded_params, loaded_state, path)
+        assert path.read_bytes() == saved
+        for key, value in [("consec_increase", state.consec_increase + 1),
+                           ("total_increase_events", state.total_increase_events + 1),
+                           ("best_val", math.nextafter(state.best_val, math.inf))]:
+            path.write_bytes(saved)
+            rewrite_container(path, lambda h: h["train_state"].update({key: value}))
+            with pytest.raises(FormatError, match=key):
+                checkpoint_load(path)
 
 
 def test_checkpoint_load_holds_little_more_than_the_file_and_the_model(tmp_path):
@@ -581,9 +645,11 @@ def test_resume_reproduces_uninterrupted_trajectory(tmp_path):
 def test_fit_runs_no_epoch_for_a_state_the_schedule_stopped():
     params = build_model(micro_config())
     before = snapshot(params)
-    state = TrainState(total_increase_events=training.STOP_AFTER)
-    _, rows = fit(params, state, micro_pairs(n=2), micro_pairs(n=2), max_epochs=6)
-    assert rows == [] and state.epoch == 0
+    history = [1.0, 2.0] * training.STOP_AFTER  # every 2.0 is an increase, none in a row
+    state = TrainState(epoch=len(history), val_history=history)
+    assert state.total_increase_events == training.STOP_AFTER
+    _, rows = fit(params, state, micro_pairs(n=2), micro_pairs(n=2), max_epochs=len(history) + 6)
+    assert rows == [] and state.epoch == len(history)
     assert_same_weights(params, before)
 
 
