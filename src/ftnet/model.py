@@ -211,15 +211,6 @@ def build_model(config):
     return FTNetParams(config, params)
 
 
-def _zero_hidden(x, config):
-    """GRU state ahead of the first pass for frames x.
-
-    The map takes x's dtype, so a float32 input runs in float32 throughout.
-    """
-    shape = (x.data.shape[0], config.encoder_channels[0], config.frame_len // 2)
-    return Tensor(np.zeros(shape, dtype=x.data.dtype))
-
-
 # ---------------------------------------------------------------------------
 # forward passes
 
@@ -264,22 +255,37 @@ def convgru_forward(params, features, hidden):
 
     With config.standard_gru_update the first blend term uses ``hidden``
     instead (the classic GRU interpolation).
+
+    hidden=None means the first pass, whose state is all zeros. Each state
+    conv then returns its bias, and r reaches the output only through
+    Un * (r . 0), so only the two input convs for z and n run, each plus its
+    state conv's bias; the state weights and the reset gate's parameters get
+    an exactly zero gradient. With standard_gru_update the output is z . n.
     """
-    if features.data.shape != hidden.data.shape:
-        raise ShapeError(
-            f"conv_rnn: features {features.data.shape} vs hidden {hidden.data.shape}"
-        )
+    def conv(name, x):
+        return _conv_block(params, f"conv_rnn.{name}", x, stride=1)
 
-    def gate(name_in, name_state, state_input):
-        a = _conv_block(params, f"conv_rnn.{name_in}", features, stride=1)
-        b = _conv_block(params, f"conv_rnn.{name_state}", state_input, stride=1)
-        return T.add(a, b)
+    if hidden is None:
+        def plus_state_bias(name, x, *unreached):
+            zero_grad = [params[f"conv_rnn.{n}"].tensor for n in (f"{name}.weight",) + unreached]
+            return T._add_bias(x, params[f"conv_rnn.{name}.bias"].tensor, zero_grad)
 
-    z = T.sigmoid(gate("update_in", "update_state", hidden))
-    r = T.sigmoid(gate("reset_in", "reset_state", hidden))
-    n = T.tanh(gate("cand_in", "cand_state", T.mul(r, hidden)))
+        z = T.sigmoid(plus_state_bias("update_state", conv("update_in", features)))
+        n = T.tanh(plus_state_bias("cand_state", conv("cand_in", features), "reset_in.weight",
+                                   "reset_in.bias", "reset_state.weight", "reset_state.bias"))
+        if params.config.standard_gru_update:
+            return T.mul(z, n)
+        keep = features
+    else:
+        if features.data.shape != hidden.data.shape:
+            raise ShapeError(
+                f"conv_rnn: features {features.data.shape} vs hidden {hidden.data.shape}"
+            )
+        z = T.sigmoid(T.add(conv("update_in", features), conv("update_state", hidden)))
+        r = T.sigmoid(T.add(conv("reset_in", features), conv("reset_state", hidden)))
+        n = T.tanh(T.add(conv("cand_in", features), conv("cand_state", T.mul(r, hidden))))
+        keep = hidden if params.config.standard_gru_update else features
     one = Tensor(np.ones_like(z.data))
-    keep = hidden if params.config.standard_gru_update else features
     return T.add(T.mul(T.sub(one, z), keep), T.mul(z, n))
 
 
@@ -307,7 +313,8 @@ def stage_forward(params, x, estimate, hidden, trace=None):
 
     x and estimate are (B, 1, frame_len): the noisy frames and the previous
     pass's estimate (x itself ahead of the first pass). hidden is the GRU
-    state, (B, C0, frame_len/2), zeros ahead of the first pass. The front end
+    state, (B, C0, frame_len/2), or None for the first pass, whose state is
+    all zeros (see ``convgru_forward``). The front end
     stacks x with the estimate, embeds the pair with conv1d_1 and updates the
     GRU; the new hidden map is both the encoder's input and the next pass's
     state.
@@ -353,13 +360,14 @@ def stage_forward(params, x, estimate, hidden, trace=None):
 def multistage_forward(params, x):
     """Run the stage ``params.config.stages`` times with shared weights and feedback.
 
+    The first pass gets ``hidden=None``: no state yet, an all-zero map.
     Returns (final, estimates, hiddens): the last pass's estimate, then
     every pass's estimate and hidden map in pass order, final included.
     The lists hold detached tensors, which share the arrays (nothing is
     copied) but carry no graph: only ``final`` participates in
     backpropagation, and the loss is taken on it alone.
     """
-    estimate, hidden = x, _zero_hidden(x, params.config)
+    estimate, hidden = x, None
     estimates, hiddens = [], []
     for _ in range(params.config.stages):
         estimate, hidden = stage_forward(params, x, estimate, hidden)
@@ -378,7 +386,7 @@ def trace_shapes(params):
     x = Tensor(np.zeros((1, 1, config.frame_len)))
     trace = []
     with T.no_grad():
-        stage_forward(params, x, x, _zero_hidden(x, config), trace=trace)
+        stage_forward(params, x, x, None, trace=trace)
     return tuple(trace)
 
 

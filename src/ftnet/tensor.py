@@ -15,11 +15,15 @@ gathers its input for the weight gradient; conv1d_transpose gathers its
 output gradient. The im2col window is a view on a contiguous buffer whose
 bounds numpy checks.
 Importing this module pins OpenBLAS to one thread for the process (see
-``_one_blas_thread``). The second core is used one level up: where the
-process may use two CPUs, a backward sweep hands each large weight
-gradient (gather, GEMM and accumulation) to one worker thread and goes on
-with the sweep, and ``Tensor.backward`` waits for every such job before it
-returns, also when the sweep raises.
+``_one_blas_thread``). The second core is used one level up, by one worker
+thread, where the process may use two CPUs. A large conv's forward hands
+the first half of its block's frames to the worker and computes the rest
+itself, both into one output, and joins the worker's half before it
+returns (or computes that half too, if the worker has not started it). A
+backward sweep hands each large weight gradient (gather, GEMM and
+accumulation) to the worker and goes on with the sweep, and
+``Tensor.backward`` waits for every such job before it returns, also when
+the sweep raises.
 
 The graph is made of small private nodes, not of tensors. Every op builds
 its result through one helper, ``_op``, handing it the result's data, its
@@ -295,8 +299,9 @@ class Parameter:
     def __init__(self, name, values):
         self.name = name
         self.tensor = Tensor(values, requires_grad=True)
-        self.m = np.zeros_like(self.tensor.data)
-        self.v = np.zeros_like(self.tensor.data)
+        shape, dtype = self.tensor.data.shape, self.tensor.data.dtype
+        self.m = np.zeros(shape, dtype)  # zeroed lazily by the OS, unlike zeros_like
+        self.v = np.zeros(shape, dtype)
         self.step_count = 0
 
     @property
@@ -339,9 +344,10 @@ def _one_blas_thread():
     faster, but every call then waits at a barrier for it, for as long as
     the scheduler keeps that thread off a free CPU. On a 2-vCPU box that
     made a fresh process's first training operation up to 10x slower. The
-    second core is used one level up instead: large weight gradients run on
-    a worker thread beside the backward sweep (see ``_conv``), each GEMM
-    still on one BLAS thread.
+    second core is used one level up instead: a worker thread takes half of
+    a large forward conv's frames and large weight gradients beside the
+    backward sweep (see ``_by_frames`` and ``_conv``), each GEMM still on
+    one BLAS thread.
     """
     try:
         with open("/proc/self/maps") as maps:
@@ -360,18 +366,27 @@ _one_blas_thread()
 
 
 # ---------------------------------------------------------------------------
-# weight gradients on a worker thread
+# forward halves and weight gradients on a worker thread
 #
-# FTNet runs each stage's weights Q times, and only Adam reads their
+# One worker thread, started by the first job, takes two kinds of work where
+# the process may use two CPUs; everything else, and everything where it may
+# use one, runs on the calling thread. numpy releases the GIL in the gathers
+# and GEMMs.
+#
+# Forward: ``_by_frames`` gives the worker the first half of a large conv's
+# frames and joins it inside the conv call, so a caller, a span or a fault
+# injected around the public call sees one thread. At full size that covers
+# the GRU, conv1d_2..5, the GLU main and gate convs and deconv1d_1..3; at
+# desk scale no conv reaches it, where threading small blocks measured slower.
+#
+# Backward: FTNet runs each stage's weights Q times, and only Adam reads their
 # gradients, so a sweep need not wait for them. ``_conv`` hands one to
 # the worker when the weight is a leaf (the sweep never reads its gradient)
 # and its GEMM is at least ``_HANDOFF_MACS``, about 0.1 ms of GEMM on a 2-vCPU
 # Xeon, twice the ~50 us a thread handoff costs. The job regathers the
 # columns it reads from the ``g`` and ``a`` it keeps, rather than keep the
 # adjoint's, which are K times the size; the values, and so the outputs, are
-# the same. numpy releases the GIL in the gathers and GEMMs. Smaller
-# gradients, and every gradient where the process may use one CPU, are
-# computed inline.
+# the same.
 
 _HANDOFF_MACS = 1 << 22
 _handoff = None  # the running sweep's _Handoff, while it may hand work off
@@ -384,6 +399,13 @@ def _cpus_allowed():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this OS
         return os.cpu_count() or 1
+
+
+def _worker():
+    global _executor
+    if _executor is None:
+        _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ftnet-worker")
+    return _executor
 
 
 def _forget_worker():
@@ -406,11 +428,8 @@ class _Handoff:
         self.jobs, self.leaves = [], set()
 
     def submit(self, node, grad_fn):
-        global _executor
-        if _executor is None:
-            _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ftnet-grad")
         self.leaves.add(node)
-        self.jobs.append(_executor.submit(lambda: _add_grad(node, grad_fn())))
+        self.jobs.append(_worker().submit(lambda: _add_grad(node, grad_fn())))
 
     def wait(self):
         """Wait for every job, then raise the first one's exception, if any."""
@@ -470,24 +489,29 @@ def _check_conv(x, w_in, out_ch, bias, pads):
         raise ConfigError(f"bias shape {bias.data.shape} does not match (1, {out_ch}, 1)")
 
 
-def _correlate(a, w, stride, dilation, pads, positions):
-    """Correlate padded ``a`` with ``w`` (C_out, C_in, K); returns it and the columns."""
+def _correlate(a, w, stride, dilation, pads, positions, out=None):
+    """Correlate padded ``a`` with ``w`` (C_out, C_in, K), into ``out`` if given;
+    returns it and the columns."""
     cols = _gather(_pad(a, *pads), w.shape[2], positions, stride, dilation)
-    return np.matmul(w.reshape(w.shape[0], -1), cols), cols
+    return np.matmul(w.reshape(w.shape[0], -1), cols, out=out), cols
 
 
-def _correlate_adjoint(g, w, stride, dilation, pads, length):
-    """Adjoint of ``_correlate`` in ``a`` (``length`` samples); a negative pad zero-fills.
+def _correlate_adjoint(g, w, stride, dilation, pads, length, out=None):
+    """Adjoint of ``_correlate`` in ``a`` (``length`` samples), into ``out`` if given;
+    a negative pad zero-fills.
 
     Returns it and, at stride 1, the columns of ``g`` it gathered (else None).
     """
     if stride == 1:  # a full correlation of g with the flipped, channel-swapped kernel
         reach = dilation * (w.shape[2] - 1)
         flipped = w[:, :, ::-1].transpose(1, 0, 2)
-        return _correlate(g, flipped, 1, dilation, (reach - pads[0], reach - pads[1]), length)
+        return _correlate(g, flipped, 1, dilation, (reach - pads[0], reach - pads[1]), length, out)
     spread = np.matmul(w.reshape(w.shape[0], -1).T, g)
-    full = _scatter(spread, length + sum(pads), w.shape[2], stride, dilation)
-    return _pad(full, -pads[0], -pads[1]), None
+    full = _pad(_scatter(spread, length + sum(pads), w.shape[2], stride, dilation), -pads[0], -pads[1])
+    if out is None:
+        return full, None
+    out[...] = full
+    return out, None
 
 
 def _correlate_dw(g, a, w, stride, dilation, pads, cols=None):
@@ -495,6 +519,34 @@ def _correlate_dw(g, a, w, stride, dilation, pads, cols=None):
     if cols is None:
         cols = _gather(_pad(a, *pads), w.shape[2], g.shape[2], stride, dilation)
     return np.matmul(cols, g.transpose(0, 2, 1)).sum(axis=0).T.reshape(w.shape)
+
+
+def _by_frames(kernel, macs, shape, a, w, *geometry):
+    """``kernel(a, w, *geometry)``'s result, of ``shape``, for ``macs`` GEMM MACs.
+
+    A block of two or more frames whose GEMM for one frame is at least
+    ``_HANDOFF_MACS // 2`` is split where the process may use two CPUs: the
+    worker computes the first half of the frames and this thread the rest,
+    each into its part of one array. Frames are independent in the GEMMs, so
+    the values are those of one call. A worker's half that has not started
+    when this thread's is done runs here instead: on a shared host the
+    worker's CPU may be busy or not yet scheduled. A started half is joined
+    before this returns, also when either half raises.
+    """
+    frames = len(a)
+    if frames < 2 or macs // frames < _HANDOFF_MACS // 2 or _cpus_allowed() < 2:
+        return kernel(a, w, *geometry)[0]
+    out, half = np.empty(shape, np.result_type(a, w)), frames // 2
+    job = _worker().submit(kernel, a[:half], w, *geometry, out=out[:half])
+    try:
+        kernel(a[half:], w, *geometry, out=out[half:])
+    finally:
+        started = not job.cancel()
+        if started:
+            job.result()
+    if not started:
+        kernel(a[:half], w, *geometry, out=out[:half])
+    return out
 
 
 def _conv(x, weight, bias, out_data, macs, input_grad, weight_grad):
@@ -523,6 +575,26 @@ def _conv(x, weight, bias, out_data, macs, input_grad, weight_grad):
     return _op(out_data, (xn, wn, bn), backprop)
 
 
+def _add_bias(x, bias, zero_grad):
+    """``x`` plus ``bias`` (1, C, 1), broadcast over batch and length.
+
+    This is ``add(x, c)`` for a stride-1 conv ``c`` of an all-zero map (the
+    GRU state ahead of the first pass), which is its bias. The tensors in
+    ``zero_grad``, that conv's weight and whatever fed only its zero input,
+    get an exactly zero gradient, as they would through the conv.
+    """
+    xn, bn = x._node, bias._node
+    zeros = [(t._node, t.data.shape, t.data.dtype) for t in zero_grad]
+
+    def backprop(g):
+        _accumulate(xn, g)
+        _accumulate(bn, g.sum(axis=(0, 2), keepdims=True))
+        for node, shape, dtype in zeros:
+            _accumulate(node, np.zeros(shape, dtype))
+
+    return _op(x.data + bias.data, (xn, bn, *(node for node, _, _ in zeros)), backprop)
+
+
 def conv1d(x, weight, bias=None, *, stride=1, dilation=1, pad_left=0, pad_right=0):
     """Strided, dilated cross-correlation along the length axis.
 
@@ -543,7 +615,9 @@ def conv1d(x, weight, bias=None, *, stride=1, dilation=1, pad_left=0, pad_right=
     out_len = (padded_len - span) // stride + 1
 
     a, w = x.data, weight.data
-    out_data = _correlate(a, w, stride, dilation, pads, out_len)[0]
+    macs = w.size * len(a) * out_len
+    out_data = _by_frames(_correlate, macs, (len(a), out_ch, out_len), a, w,
+                          stride, dilation, pads, out_len)
     if bias is not None:
         out_data += bias.data
     from_g_cols = stride == 1 and x._node is not None
@@ -556,7 +630,7 @@ def conv1d(x, weight, bias=None, *, stride=1, dilation=1, pad_left=0, pad_right=
                            (span - 1 - pad_left, span - 1 - pad_right), cols)
         return dw[:, :, ::-1].transpose(1, 0, 2)
 
-    return _conv(x, weight, bias, out_data, w.size * len(a) * out_len,
+    return _conv(x, weight, bias, out_data, macs,
                  lambda g: _correlate_adjoint(g, w, stride, dilation, pads, length), weight_grad)
 
 
@@ -580,11 +654,13 @@ def conv1d_transpose(x, weight, bias=None, *, stride=1, pad=0, output_pad=0):
     pads = (pad, pad - output_pad)
 
     a, w = x.data, weight.data
-    out_data = _correlate_adjoint(a, w, stride, 1, pads, out_len)[0]
+    macs = w.size * len(a) * length
+    out_data = _by_frames(_correlate_adjoint, macs, (len(a), out_ch, out_len), a, w,
+                          stride, 1, pads, out_len)
     if bias is not None:
         out_data = out_data + bias.data  # a new array: the cropped output is a view
     # The weight gradient is that conv1d's, whose input is g and output gradient x.
-    return _conv(x, weight, bias, out_data, w.size * len(a) * length,
+    return _conv(x, weight, bias, out_data, macs,
                  lambda g: _correlate(g, w, stride, 1, pads, length),
                  lambda g, cols: _correlate_dw(a, g, w, stride, 1, pads, cols))
 

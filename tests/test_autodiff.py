@@ -13,6 +13,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -20,9 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftnet import cli
 from ftnet import tensor as T
 from ftnet.errors import UsageError
 from ftnet.model import ModelConfig, build_model, multistage_forward
+from ftnet.training import TrainState, train_epoch
 
 from conv_geometry import conv1d_geometry, conv1d_transpose_geometry, operands
 from oracles import gradients_close, numeric_gradient
@@ -589,6 +592,114 @@ def test_a_sweep_that_raises_still_waits_for_its_jobs():
     assert T._handoff is None and w.grad is not None
 
 
+# ---------------------------------------------------------------------------
+# forward halves on the worker thread
+
+
+def spy_kernels(calls, started=None):
+    """Patches that record each forward kernel call as (on the main thread,
+    part of a split: given ``out``). With ``started``, the worker's half of a
+    split sets it and the main thread's half first waits for it, so the main
+    thread cannot finish first and take the worker's half back."""
+    def spy(kernel):
+        def call(*args, **kw):
+            main, split = threading.current_thread() is threading.main_thread(), "out" in kw
+            calls.append((main, split))
+            if started is not None and split and main:
+                assert started.wait(10)
+            elif started is not None and split:
+                started.set()
+            return kernel(*args, **kw)
+        return call
+
+    return (mock.patch.object(T, "_correlate", spy(T._correlate)),
+            mock.patch.object(T, "_correlate_adjoint", spy(T._correlate_adjoint)))
+
+
+def forward_of(op, arrays, kwargs, cpus, floor, started=None):
+    """A no-grad forward with ``cpus`` allowed and the given hand-off floor,
+    plus its kernel calls as ``spy_kernels`` records them."""
+    calls = []
+    correlate, adjoint = spy_kernels(calls, started)
+    with mock.patch.object(T, "_cpus_allowed", lambda: cpus), \
+            mock.patch.object(T, "_HANDOFF_MACS", floor), correlate, adjoint, T.no_grad():
+        out = op(*(T.Tensor(a) for a in arrays), **kwargs)
+    return out.data, calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.one_of(conv1d_geometry().map(lambda geo: (T.conv1d, geo)),
+                      conv1d_transpose_geometry().map(lambda geo: (T.conv1d_transpose, geo))),
+       dtype=st.sampled_from([np.float32, np.float64]), cpus=st.sampled_from([1, 2]))
+def test_a_forward_split_across_the_worker_gives_the_bytes_of_one_call(case, dtype, cpus):
+    # Floor 1 splits every block of two or more frames where two CPUs are allowed.
+    op, geo = case
+    arrays = tuple(a if a.dtype == dtype else a.astype(dtype) for a in operands(geo))
+    whole, _ = forward_of(op, arrays, geo["kwargs"], cpus=1, floor=T._HANDOFF_MACS)
+    split, calls = forward_of(op, arrays, geo["kwargs"], cpus=cpus, floor=1,
+                              started=threading.Event())
+    assert any(not main for main, _ in calls) == (cpus == 2 and len(arrays[0]) >= 2)
+    assert split.dtype == whole.dtype == dtype
+    assert split.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("failing", ["worker", "main"])
+def test_a_failing_forward_half_is_raised_from_the_conv_after_both_halves_ended(failing):
+    x, w = T.Tensor(rand(2, 8, 32)), T.Tensor(rand(8, 8, 3))
+    started, ended, correlate = threading.Event(), [], T._correlate
+
+    def half(*args, **kwargs):
+        side = "main" if threading.current_thread() is threading.main_thread() else "worker"
+        try:
+            if side == "worker":
+                started.set()
+                time.sleep(0.2)  # still running when the main half ends
+            else:
+                assert started.wait(10)  # the worker has taken up its half
+            if side == failing:
+                raise FloatingPointError("injected")
+            return correlate(*args, **kwargs)
+        finally:
+            ended.append(side)
+
+    with mock.patch.object(T, "_cpus_allowed", lambda: 2), \
+            mock.patch.object(T, "_HANDOFF_MACS", 1), mock.patch.object(T, "_correlate", half):
+        with pytest.raises(FloatingPointError, match="injected"):
+            T.conv1d(x, w, pad_left=1, pad_right=1)
+    assert sorted(ended) == ["main", "worker"]
+
+
+def test_a_forward_half_the_busy_worker_has_not_started_runs_on_the_calling_thread():
+    arrays, kwargs = (rand(2, 8, 32), rand(8, 8, 3)), {"pad_left": 1, "pad_right": 1}
+    whole, _ = forward_of(T.conv1d, arrays, kwargs, cpus=1, floor=T._HANDOFF_MACS)
+    release = threading.Event()
+    busy = T._worker().submit(release.wait, 10)
+    try:
+        split, calls = forward_of(T.conv1d, arrays, kwargs, cpus=2, floor=1)
+    finally:
+        release.set()
+    assert busy.result(10) and calls == [(True, True), (True, True)]
+    assert split.tobytes() == whole.tobytes()
+
+
+def test_desk_scale_training_and_enhance_run_every_forward_kernel_on_the_calling_thread():
+    # Threading the desk model's small blocks measured slower, so none of its
+    # convs may reach the split even where two CPUs are allowed.
+    config = ModelConfig(frame_len=512, encoder_channels=(16, 16, 32), glu_dilations=(1, 2),
+                         glu_bottleneck=16, stages=3)
+    params = build_model(config)
+    pairs = [SimpleNamespace(noisy=0.1 * rand(2048), clean=0.1 * rand(2048)) for _ in range(2)]
+    frames = (0.1 * rand(2 * config.block_frames, 1, 512)).astype(np.float32)
+    calls = []
+    correlate, adjoint = spy_kernels(calls)
+    with mock.patch.object(T, "_cpus_allowed", lambda: 2), correlate, adjoint:
+        train_epoch(params, TrainState(), pairs, batch_size=2)
+        for p in params.values():
+            p.tensor.data = p.tensor.data.astype(np.float32)
+        cli._enhance_frames(params, frames, collect_hidden=False)
+    assert calls and calls == [(True, False)] * len(calls)
+
+
 PINNED_PROBE = """
 import os, sys, threading
 if sys.argv[1] == "pinned":
@@ -598,6 +709,9 @@ from ftnet import tensor as T
 rng = np.random.default_rng(0)
 x = T.Tensor(rng.standard_normal((2, 64, 1024)), requires_grad=True)
 w = T.Tensor(rng.standard_normal((64, 64, 3)), requires_grad=True)
+with T.no_grad():
+    T.conv1d(x, w, pad_left=1, pad_right=1)
+print(threading.active_count())
 T.conv1d(x, w, pad_left=1, pad_right=1).sum().backward()
 print(threading.active_count())
 """
@@ -613,10 +727,12 @@ def run_probe(probe, *args):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
 def test_a_process_pinned_to_one_cpu_starts_no_thread():
+    # The probe's forward would split its two frames, and its backward hand off.
+    assert 64 * 64 * 3 * 1024 >= T._HANDOFF_MACS // 2
     assert 2 * 64 * 64 * 3 * 1024 >= T._HANDOFF_MACS
-    assert run_probe(PINNED_PROBE, "pinned") == ["1"]
-    if len(os.sched_getaffinity(0)) > 1:  # the same backward unpinned starts the worker
-        assert run_probe(PINNED_PROBE, "free") == ["2"]
+    assert run_probe(PINNED_PROBE, "pinned") == ["1", "1"]
+    if len(os.sched_getaffinity(0)) > 1:  # the same forward unpinned starts the worker
+        assert run_probe(PINNED_PROBE, "free") == ["2", "2"]
 
 
 FORK_PROBE = """

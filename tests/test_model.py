@@ -1,6 +1,7 @@
 """Architecture checks: shapes, counts, recurrence, and end-to-end gradients."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -223,6 +224,47 @@ def test_convgru_rejects_mismatched_state():
     params = M.build_model(cfg)
     with pytest.raises(ShapeError):
         M.convgru_forward(params, Tensor(np.zeros((1, 2, 16))), Tensor(np.zeros((1, 2, 8))))
+
+
+@pytest.mark.parametrize("standard", [False, True], ids=["default-update", "standard-update"])
+def test_convgru_without_state_equals_an_all_zero_state_bit_for_bit(standard):
+    cfg = tiny_config(standard_gru_update=standard)
+    feats = RNG.standard_normal((2, 2, 32))
+    cotangent = Tensor(RNG.standard_normal((2, 2, 32)))
+
+    def run(hidden):
+        params = M.build_model(cfg)
+        f = Tensor(feats, requires_grad=True)
+        out = M.convgru_forward(params, f, hidden)
+        T.mul(out, cotangent).sum().backward()
+        grads = {name: p.grad for name, p in params.items() if name.startswith("conv_rnn.")}
+        return out.data, f.grad, grads
+
+    out, f_grad, grads = run(None)
+    want_out, want_f_grad, want_grads = run(Tensor(np.zeros_like(feats)))
+    assert out.tobytes() == want_out.tobytes()
+    assert f_grad.tobytes() == want_f_grad.tobytes()
+    assert grads.keys() == want_grads.keys() and len(grads) == 12
+    for name, grad in grads.items():
+        assert grad.dtype == want_grads[name].dtype
+        assert grad.tobytes() == want_grads[name].tobytes(), name
+
+
+def test_the_first_pass_runs_only_the_gru_input_convs_for_z_and_n():
+    cfg = tiny_config(stages=2)
+    params = M.build_model(cfg)
+    names = {id(p.tensor): name[: -len(".weight")] for name, p in params.items()}
+    called, conv1d = [], T.conv1d
+
+    def spy(x, weight, *args, **kwargs):
+        called.append(names[id(weight)])
+        return conv1d(x, weight, *args, **kwargs)
+
+    with mock.patch.object(T, "conv1d", spy):
+        M.multistage_forward(params, Tensor(RNG.standard_normal((1, 1, cfg.frame_len))))
+    gru = [name.split(".")[1] for name in called if name.startswith("conv_rnn.")]
+    assert gru == ["update_in", "cand_in",
+                   "update_in", "update_state", "reset_in", "reset_state", "cand_in", "cand_state"]
 
 
 # ---------------------------------------------------------------------------
