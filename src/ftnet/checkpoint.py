@@ -118,7 +118,7 @@ def checkpoint_load(path):
         state = TrainState.from_dict(train_state)
         index = [_index_entry(entry) for entry in header["params"]]
         payload_bytes = int(header["payload_bytes"])
-    except (ConfigError, ValueError, KeyError, TypeError) as exc:
+    except (ConfigError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed header ({exc})") from None
     start = 16 + header_len
     if len(raw) - start != payload_bytes:

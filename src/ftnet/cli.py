@@ -308,14 +308,17 @@ def cmd_train(args):
             checkpoint_save(params, state, args.out)
 
         print(LOG_HEADER)
-        fit(
+        _, rows = fit(
             params, state, train_pairs, val_pairs,
             max_epochs=train["max_epochs"], batch_size=train["batch_size"], log_fn=log_row,
         )
     finally:
         if log_fh:
             log_fh.close()
-    print(f"checkpoint written to {args.out}")
+    if rows:
+        print(f"checkpoint written to {args.out}")
+    else:  # only a resumed run can start stopped
+        print(f"{args.out} had already stopped; left unchanged")
     return 0
 
 

@@ -21,9 +21,10 @@ the first half of its block's frames to the worker and computes the rest
 itself, both into one output, and joins the worker's half before it
 returns (or computes that half too, if the worker has not started it). A
 backward sweep hands each large weight gradient (gather, GEMM and
-accumulation) to the worker and goes on with the sweep, and
-``Tensor.backward`` waits for every such job before it returns, also when
-the sweep raises.
+accumulation) to the worker and goes on, and ``Tensor.backward`` waits for
+every such job before it returns, also when the sweep raises. Jobs wait on
+the leaf they feed and grad mode is per thread, so graphs that share no
+leaf may be built and swept from several threads at once.
 
 The graph is made of small private nodes, not of tensors. Every op builds
 its result through one helper, ``_op``, handing it the result's data, its
@@ -42,13 +43,14 @@ contribution as it is, uncopied; that array may be shared, so a second one
 makes a new array, and later ones add into it. Gradients thus accumulate
 additively, and reusing a tensor in several places just works. A leaf
 tensor created with ``requires_grad`` keeps its gradient in ``grad``. A leaf
-with a job pending on the worker takes every later contribution through the
+with jobs pending on the worker takes every later contribution through the
 worker too, so its gradient sums in sweep order and the outputs do not
 depend on the thread.
 """
 
 import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -72,21 +74,24 @@ __all__ = [
     "adam_step",
 ]
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    record = True  # every thread's default, until its own no_grad
+
+
+_grad_mode = _GradMode()
 
 
 class no_grad:
-    """Context manager that suspends graph recording (inference, validation)."""
+    """Context manager that suspends graph recording (inference, validation)
+    in the calling thread only."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._saved = _grad_enabled
-        _grad_enabled = False
+        self._saved, _grad_mode.record = _grad_mode.record, False
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._saved
+        _grad_mode.record = self._saved
         return False
 
 
@@ -109,16 +114,18 @@ class _Node:
     """A recorded value's place in the graph: its inputs' nodes, the closure
     ``backward(g)`` that turns its gradient into theirs, and a gradient slot
     (see ``_accumulate`` for ``owns_grad``). A leaf, a tensor created with
-    ``requires_grad``, has neither inputs nor closure.
+    ``requires_grad``, has neither inputs nor closure; ``jobs`` lists the
+    running sweep's pending worker jobs that add into it (None between sweeps).
     """
 
-    __slots__ = ("parents", "backward", "grad", "owns_grad")
+    __slots__ = ("parents", "backward", "grad", "owns_grad", "jobs")
 
     def __init__(self, parents=(), backward=None):
         self.parents = parents
         self.backward = backward
         self.grad = None
         self.owns_grad = False
+        self.jobs = None
 
 
 class Tensor:
@@ -185,17 +192,19 @@ class Tensor:
         Only defined for scalar (single-element) results. The sweep consumes
         the graph, so a second backward() through it raises UsageError. Each
         node drops its closure, and with it the arrays it kept, and its
-        gradient as soon as the sweep has passed it.
+        gradient as soon as the sweep has passed it. Before it returns, also
+        when the sweep raises, it waits for its leaves' worker jobs and raises
+        a failed one's exception. Two sweeps at once must share no leaf;
+        nothing checks that.
         """
-        global _handoff
         if self.data.size != 1:
             raise UsageError(f"backward() needs a scalar loss, got shape {self.shape}")
         root = self._node
         if root is None:
             return
         order = _topo_order(root)
+        leaves = [node for node in order if node.backward is None]
         root.grad = np.ones_like(self.data)
-        _handoff = _Handoff() if _cpus_allowed() > 1 else None
         try:
             while order:
                 node = order.pop()
@@ -203,9 +212,12 @@ class Tensor:
                     node.backward(node.grad)
                     node.backward, node.parents, node.grad = _consumed, (), None
         finally:
-            handoff, _handoff = _handoff, None
-            if handoff is not None:
-                handoff.wait()
+            errors = [job.exception() for leaf in leaves for job in leaf.jobs or ()]
+            for leaf in leaves:
+                leaf.jobs = None
+            for error in errors:
+                if error is not None:
+                    raise error
 
     def sum(self):
         """Sum over all elements, as a scalar tensor."""
@@ -253,16 +265,17 @@ def _topo_order(root):
 def _accumulate(node, grad):
     """Add ``grad`` into ``node``'s gradient; a None node needs none.
 
-    A leaf with a job pending on the worker gets it through the worker, after
-    that job. The first contribution is taken as it is, uncopied, although it
-    may be shared (``add`` hands one ``g`` to both inputs, ``concat_channels``
-    slices of it, ``Tensor.sum`` a read-only view). So the second makes a
-    new array, which the node owns (``owns_grad``) and later ones add into.
+    A leaf with jobs pending on the worker (``node.jobs``) gets it through
+    the worker too, after those jobs. The first contribution is taken as it
+    is, uncopied, although it may be shared (``add`` hands one ``g`` to both
+    inputs, ``concat_channels`` slices of it, ``Tensor.sum`` a read-only
+    view). So the second makes a new array, which the node owns
+    (``owns_grad``) and later ones add into.
     """
     if node is None:
         return
-    if _handoff is not None and node in _handoff.leaves:
-        _handoff.submit(node, lambda: grad)
+    if node.jobs:
+        _hand_off(node, lambda: grad)
     else:
         _add_grad(node, grad)
 
@@ -286,7 +299,7 @@ def _op(data, inputs, backward):
     when no input needs a gradient, nothing is recorded.
     """
     out = Tensor(data)
-    if _grad_enabled:
+    if _grad_mode.record:
         parents = tuple(n for n in inputs if n is not None)
         if parents:
             out._node = _Node(parents, backward)
@@ -386,11 +399,10 @@ _one_blas_thread()
 # Xeon, twice the ~50 us a thread handoff costs. The job regathers the
 # columns it reads from the ``g`` and ``a`` it keeps, rather than keep the
 # adjoint's, which are K times the size; the values, and so the outputs, are
-# the same.
+# the same. A job waits on the leaf it feeds (``_Node.jobs``), so each sweep
+# waits for exactly its own; the worker runs every sweep's jobs in turn.
 
 _HANDOFF_MACS = 1 << 22
-_handoff = None  # the running sweep's _Handoff, while it may hand work off
-_executor = None  # the worker, started by the first job
 
 
 def _cpus_allowed():
@@ -401,42 +413,21 @@ def _cpus_allowed():
         return os.cpu_count() or 1
 
 
-def _worker():
+def _new_worker():
+    """Make the worker; its thread starts with its first job."""
     global _executor
-    if _executor is None:
-        _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ftnet-worker")
-    return _executor
+    _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ftnet-worker")
 
 
-def _forget_worker():
-    global _executor
-    _executor = None  # a forked child inherits the object but not its thread
+_new_worker()  # at import, so no two threads can race to make one
+if hasattr(os, "register_at_fork"):  # a forked child inherits the object but not its thread
+    os.register_at_fork(after_in_child=_new_worker)
 
 
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-class _Handoff:
-    """One sweep's jobs, run in submission order on the one worker thread.
-
-    ``leaves`` are the nodes with a job submitted; ``_accumulate`` routes
-    their later contributions here, so only the worker adds into them.
-    """
-
-    def __init__(self):
-        self.jobs, self.leaves = [], set()
-
-    def submit(self, node, grad_fn):
-        self.leaves.add(node)
-        self.jobs.append(_worker().submit(lambda: _add_grad(node, grad_fn())))
-
-    def wait(self):
-        """Wait for every job, then raise the first one's exception, if any."""
-        errors = [job.exception() for job in self.jobs]
-        for error in errors:
-            if error is not None:
-                raise error
+def _hand_off(leaf, grad_fn):
+    """Add ``grad_fn()`` into ``leaf``'s gradient on the worker, after its earlier jobs."""
+    leaf.jobs = leaf.jobs or []
+    leaf.jobs.append(_executor.submit(lambda: _add_grad(leaf, grad_fn())))
 
 
 def _gather(a, kernel, positions, stride, dilation):
@@ -537,7 +528,7 @@ def _by_frames(kernel, macs, shape, a, w, *geometry):
     if frames < 2 or macs // frames < _HANDOFF_MACS // 2 or _cpus_allowed() < 2:
         return kernel(a, w, *geometry)[0]
     out, half = np.empty(shape, np.result_type(a, w)), frames // 2
-    job = _worker().submit(kernel, a[:half], w, *geometry, out=out[:half])
+    job = _executor.submit(kernel, a[:half], w, *geometry, out=out[:half])
     try:
         kernel(a[half:], w, *geometry, out=out[half:])
     finally:
@@ -565,8 +556,8 @@ def _conv(x, weight, bias, out_data, macs, input_grad, weight_grad):
             _accumulate(xn, dx)
             del dx  # not held through the weight gradient's GEMM
         if wn is not None:
-            if _handoff is not None and wn.backward is None and macs >= _HANDOFF_MACS:
-                _handoff.submit(wn, lambda: weight_grad(g, None))
+            if wn.backward is None and macs >= _HANDOFF_MACS and _cpus_allowed() > 1:
+                _hand_off(wn, lambda: weight_grad(g, None))
             else:
                 _accumulate(wn, weight_grad(g, cols))
         if bn is not None:

@@ -38,6 +38,10 @@ BATCH_SIZE = 2  # utterances per minibatch
 MAX_EPOCHS = 50  # epochs after which a run stops in any case
 HALVE_AFTER = 3  # consecutive validation increases that halve the learning rate
 STOP_AFTER = 10  # validation increase events in total that stop the run
+# The JSON types a stored train state's scalars may have (checked with type(),
+# so a bool is none of them); val_history holds numbers.
+_NUMBER = (int, float)
+_STATE_TYPES = {"epoch": (int,), "rng_state": (int,), "sample_rate": (int, type(None)), "lr": _NUMBER}
 
 
 @dataclass
@@ -99,14 +103,18 @@ class TrainState:
 
     @classmethod
     def from_dict(cls, d):
-        """Rebuild a state; stored counts or a best_val that val_history contradicts fail."""
-        state = cls(
-            epoch=int(d["epoch"]),
-            lr=float(d["lr"]),
-            val_history=[float(v) for v in d["val_history"]],
-            rng_state=int(d["rng_state"]),
-            sample_rate=None if d["sample_rate"] is None else int(d["sample_rate"]),
-        )
+        """Rebuild a state. A value of another JSON type than the field's is not
+        coerced but fails, and so do stored counts or a best_val that
+        val_history contradicts."""
+        for key, kinds in _STATE_TYPES.items():
+            if type(d[key]) not in kinds:
+                names = " or ".join(kind.__name__ for kind in kinds)
+                raise ConfigError(f"{key} {d[key]!r} is not of type {names}")
+        history = d["val_history"]
+        if type(history) is not list or any(type(v) not in _NUMBER for v in history):
+            raise ConfigError(f"val_history {history!r} is not a list of numbers")
+        state = cls(epoch=d["epoch"], lr=float(d["lr"]), val_history=[float(v) for v in history],
+                    rng_state=d["rng_state"], sample_rate=d["sample_rate"])
         state.validate_invariants()
         implied = state.to_dict()
         wrong = [f"{key} {d[key]} (val_history implies {implied[key]})"

@@ -292,6 +292,34 @@ def test_no_grad_restores_on_exit():
     assert y.requires_grad
 
 
+@pytest.mark.parametrize("holder", ["other", "calling"])
+def test_no_grad_suspends_recording_only_in_the_thread_that_holds_it(holder):
+    # The holder stays inside no_grad until the other thread has recorded.
+    x = T.Tensor(np.array([1.0]), requires_grad=True)
+    held, released, records = threading.Event(), threading.Event(), {}
+
+    def act(thread):
+        if thread == holder:
+            with T.no_grad():
+                held.set()
+                assert released.wait(10)
+        else:
+            assert held.wait(10)
+            records[thread] = T.mul(x, x).requires_grad
+            released.set()
+
+    other = threading.Thread(target=act, args=("other",))
+    other.start()
+    try:
+        act("calling")
+    finally:
+        held.set()
+        released.set()
+        other.join(10)
+    assert not other.is_alive()
+    assert records == {"other" if holder == "calling" else "calling": True}
+
+
 def test_detach_shares_values_but_not_graph():
     x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
     y = x + x
@@ -497,6 +525,7 @@ def gradients_of(loss_fn, arrays, cpus, floor=T._HANDOFF_MACS):
     with mock.patch.object(T, "_cpus_allowed", lambda: cpus), \
             mock.patch.object(T, "_HANDOFF_MACS", floor), mock.patch.object(T, "_correlate_dw", spy):
         loss_fn(*tensors).backward()
+    assert all(t._node.jobs is None for t in tensors)
     return [t.grad for t in tensors], False in threads
 
 
@@ -563,7 +592,7 @@ def test_an_exception_in_a_job_is_raised_from_backward_after_every_job_ran():
         with pytest.raises(FloatingPointError, match="injected"):
             loss.backward()
     assert len(ran) == 2 and threading.main_thread().name not in ran
-    assert T._handoff is None
+    assert x._node.jobs is w1._node.jobs is w2._node.jobs is None
     assert (w1.grad is None) != (w2.grad is None)
 
 
@@ -589,7 +618,56 @@ def test_a_sweep_that_raises_still_waits_for_its_jobs():
             mock.patch.object(T, "_HANDOFF_MACS", 1), mock.patch.object(T, "_correlate_dw", slow):
         with pytest.raises(ArithmeticError, match="sweep"):
             loss.backward()
-    assert T._handoff is None and w.grad is not None
+    assert x._node.jobs is w._node.jobs is None and w.grad is not None
+
+
+@settings(max_examples=5)
+@given(geo=conv1d_geometry())
+def test_two_threads_sweeping_graphs_that_share_no_leaf_get_the_serial_gradients(geo):
+    # One weight gets three contributions, whose rounding depends on the
+    # order they sum in. Every weight gradient is handed off. Each input
+    # gradient sleeps, so the two sweeps overlap, and each job sleeps longer,
+    # so the worker falls behind both sweeps.
+    def loss(x, w, b):
+        outs = [T.conv1d(xt, w, b, **geo["kwargs"]) for xt in (x, T.tanh(x), T.sigmoid(x))]
+        cotangent = T.Tensor(np.random.default_rng(geo["seed"] + 1).standard_normal(outs[0].shape))
+        first, second, third = (T.mul(out, cotangent).sum() for out in outs)
+        return T.add(T.add(first, second), third)
+
+    arrays = [operands(dict(geo, seed=geo["seed"] + i)) for i in range(2)]
+    alone = [gradients_of(loss, a, cpus=1)[0] for a in arrays]
+
+    def slow(kernel, seconds):
+        def call(*args, **kwargs):
+            time.sleep(seconds)
+            return kernel(*args, **kwargs)
+        return mock.patch.object(T, kernel.__name__, call)
+
+    together, start = [None, None], threading.Barrier(2)
+
+    def sweep(i):
+        tensors = [T.Tensor(a, requires_grad=True) for a in arrays[i]]
+        graph = loss(*tensors)
+        start.wait(10)
+        graph.backward()
+        together[i] = [None if t.grad is None else t.grad.tobytes() for t in tensors]
+
+    threads = [threading.Thread(target=sweep, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        with mock.patch.object(T, "_cpus_allowed", lambda: 2), \
+                mock.patch.object(T, "_HANDOFF_MACS", 1), \
+                slow(T._correlate_adjoint, 0.01), slow(T._correlate_dw, 0.02):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for mine, serial in zip(together, alone):
+        assert mine == [g.tobytes() for g in serial]
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +751,7 @@ def test_a_forward_half_the_busy_worker_has_not_started_runs_on_the_calling_thre
     arrays, kwargs = (rand(2, 8, 32), rand(8, 8, 3)), {"pad_left": 1, "pad_right": 1}
     whole, _ = forward_of(T.conv1d, arrays, kwargs, cpus=1, floor=T._HANDOFF_MACS)
     release = threading.Event()
-    busy = T._worker().submit(release.wait, 10)
+    busy = T._executor.submit(release.wait, 10)
     try:
         split, calls = forward_of(T.conv1d, arrays, kwargs, cpus=2, floor=1)
     finally:

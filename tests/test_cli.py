@@ -247,10 +247,13 @@ def test_train_resume_continues_a_killed_run_bit_for_bit(corpus, capsys, monkeyp
 
 
 def test_train_resume_of_a_finished_run_trains_nothing(corpus, capsys):
-    ckpt, log, _ = run_training(corpus, capsys)
+    ckpt, log, stdout = run_training(corpus, capsys)
+    assert f"checkpoint written to {ckpt}" in stdout.splitlines()
     finished = ckpt.read_bytes(), log.read_text()
-    run_training(corpus, capsys, ["--resume"])
+    _, _, stdout = run_training(corpus, capsys, ["--resume"])
     assert (ckpt.read_bytes(), log.read_text()) == finished
+    assert "checkpoint written" not in stdout
+    assert f"{ckpt} had already stopped; left unchanged" in stdout.splitlines()
 
 
 @pytest.mark.parametrize("damage", ["missing", "corrupt"])
@@ -312,8 +315,15 @@ def test_train_resume_from_a_checkpoint_with_a_negative_epoch_exits_format_code(
     {"epoch": 1, "val_history": [float("inf")], "best_val": None},
     # Were these counts trusted, the next increase would halve lr and stop the run.
     {"val_history": [0.5, 0.4], "consec_increase": 2, "total_increase_events": 9, "best_val": 0.4},
+    # Each of these was coerced into a valid state and trained on.
+    {"epoch": 2.5},
+    {"rng_state": 0.9},
+    {"sample_rate": 16000.7},
+    {"lr": "1e-4"},
+    {"val_history": [0.5, "0.4"], "consec_increase": 0, "total_increase_events": 0, "best_val": 0.4},
 ], ids=["negative-streak", "negative-events", "negative-rng-state", "nan-lr", "infinite-lr",
-        "nan-loss", "infinite-loss", "counts-the-losses-contradict"])
+        "nan-loss", "infinite-loss", "counts-the-losses-contradict", "float-epoch",
+        "float-rng-state", "float-sample-rate", "text-lr", "text-loss"])
 def test_a_checkpoint_with_a_bad_train_state_exits_format_code(corpus, capsys, edit):
     ckpt, log, _ = run_training(corpus, capsys)
     rewrite_header(ckpt, ckpt, lambda h: h["train_state"].update(edit))

@@ -66,3 +66,16 @@ def test_every_public_name_has_a_caller():
         and used[node.name] == names_in(node)[node.name]
     ]
     assert unused == []
+
+
+def test_no_function_rebinds_module_state_but_the_worker():
+    """Every ``global`` statement in ftnet names ``_executor``, the one worker.
+    Module state that a function rebinds is shared by every thread, so grad
+    mode and a sweep's pending jobs must live elsewhere."""
+    src = pathlib.Path(ftnet.__file__).parent
+    rebound = [
+        f"{path.name}:{node.lineno} {name}" for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global) for name in node.names if name != "_executor"
+    ]
+    assert rebound == []

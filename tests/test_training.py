@@ -483,8 +483,19 @@ def test_checkpoint_rejects_an_epoch_that_does_not_count_the_validated_ones(tmp_
     ({"lr": math.inf}, "lr must stay positive and finite"),
     ({"epoch": 2, "val_history": [1.0, math.nan], "best_val": 1.0}, "must hold finite losses"),
     ({"val_history": [math.inf], "best_val": None}, "must hold finite losses"),
+    # Each of these was coerced into a valid state.
+    ({"epoch": 1.5}, "epoch 1.5 is not of type int"),
+    ({"epoch": True}, "epoch True is not of type int"),
+    ({"rng_state": 21.9}, "rng_state 21.9 is not of type int"),
+    ({"sample_rate": 16000.7}, "sample_rate 16000.7 is not of type int or NoneType"),
+    ({"lr": "1e-4"}, "lr '1e-4' is not of type int or float"),
+    ({"lr": True}, "lr True is not of type int or float"),
+    ({"lr": 10**400}, "int too large to convert to float"),
+    ({"val_history": "0.5", "best_val": 0.5}, "val_history '0.5' is not a list of numbers"),
+    ({"val_history": ["0.5"], "best_val": 0.5}, r"val_history \['0.5'\] is not a list of numbers"),
 ], ids=["negative-streak", "negative-events", "negative-rng-state", "nan-lr", "infinite-lr",
-        "nan-loss", "infinite-loss"])
+        "nan-loss", "infinite-loss", "float-epoch", "bool-epoch", "float-rng-state",
+        "float-sample-rate", "text-lr", "bool-lr", "huge-int-lr", "text-history", "text-loss"])
 def test_checkpoint_rejects_negative_counts_and_a_non_finite_lr(tmp_path, edit, named):
     params, state, _ = trained_params_state(epochs=1)
     path = tmp_path / "bad.ckpt"
