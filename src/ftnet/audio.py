@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DegenerateSignalError, FormatError, UsageError
 
-__all__ = ["FrameBatch", "read_wav", "write_wav", "frame_signal", "overlap_add"]
+__all__ = ["FrameBatch", "OverlapAdd", "read_wav", "write_wav", "frame_signal", "overlap_add"]
 
 PCM_SCALE = 32768
 
@@ -82,6 +82,7 @@ def frame_signal(clip, frame_len=2048, hop=256):
     The frame count is ceil(max(n - frame_len, 0) / hop) + 1: every sample
     lands in at least one frame and a clip shorter than one frame still
     yields a single padded frame. A hop longer than frame_len is rejected.
+    The frames are a read-only view of the zero-padded clip, not copies.
     """
     clip = np.asarray(clip, dtype=np.float64)
     if clip.ndim != 1:
@@ -92,16 +93,45 @@ def frame_signal(clip, frame_len=2048, hop=256):
         raise UsageError(f"frame_len and hop must be positive, got {frame_len}, {hop}")
     if hop > frame_len:
         raise UsageError(f"hop {hop} exceeds frame_len {frame_len}: samples would fall in no frame")
-    n = clip.size
-    n_frames = -(-max(n - frame_len, 0) // hop) + 1
-    padded_len = (n_frames - 1) * hop + frame_len
-    padded = np.zeros(padded_len)
-    padded[:n] = clip
-    # Frame i is padded[i*hop : i*hop + frame_len]: one strided view, one copy.
-    step = padded.itemsize
-    windows = np.ndarray((n_frames, 1, frame_len), padded.dtype, padded,
-                         strides=(hop * step, 0, step))
-    return FrameBatch(frames=windows.copy(), hop=hop, original_length=n)
+    n_frames = -(-max(clip.size - frame_len, 0) // hop) + 1
+    padded = np.concatenate([clip, np.zeros((n_frames - 1) * hop + frame_len - clip.size)])
+    frames = np.ndarray((n_frames, 1, frame_len), padded.dtype, padded, strides=(8 * hop, 0, 8))
+    frames.flags.writeable = False
+    return FrameBatch(frames=frames, hop=hop, original_length=clip.size)
+
+
+class OverlapAdd:
+    """Overlap-add of one clip's frames for each of ``stages`` stages, fed in
+    clip order any number at a time; the stages share one coverage count."""
+
+    def __init__(self, n_frames, frame_len, hop, length, stages=1):
+        if not 1 <= hop <= frame_len:
+            raise UsageError(f"hop {hop} must lie in [1, frame length {frame_len}]")
+        self.n_frames, self.frame_len, self.hop, self.length = n_frames, frame_len, hop, length
+        self.added = 0
+        self.sums = np.zeros((stages, n_frames - 1 + -(-frame_len // hop), hop))
+        self.count = np.zeros(self.sums.shape[1:])
+
+    def add(self, first, *stage_frames):
+        """Add frames ``first``, ``first + 1``, ... of each stage, shaped (n, 1, frame_len)."""
+        if first != self.added:
+            raise UsageError(f"frames added from {first}, but frame {self.added} is next")
+        n, hop, frame_len = stage_frames[0].shape[0], self.hop, self.frame_len
+        # Add every frame's j-th hop-long chunk at once, last chunk first, so
+        # each sample sums its frames in frame order: the same float result
+        # as adding the frames one by one, however many calls bring them.
+        for j in reversed(range(-(-frame_len // hop))):
+            width, rows = min(hop, frame_len - j * hop), slice(first + j, first + j + n)
+            for acc, frames in zip(self.sums, stage_frames, strict=True):
+                acc[rows, :width] += frames[:, 0, j * hop : j * hop + width]
+            self.count[rows, :width] += 1.0
+        self.added += n
+
+    def clip(self, stage=0):
+        """Stage ``stage``'s rebuilt clip, once every frame is in."""
+        if self.added != self.n_frames:
+            raise UsageError(f"clip read after {self.added} of {self.n_frames} frames")
+        return self.sums[stage].ravel()[: self.length] / self.count.ravel()[: self.length]
 
 
 def overlap_add(batch):
@@ -111,20 +141,9 @@ def overlap_add(batch):
     frame_signal (each covering frame holds an identical copy), so the
     round trip reproduces the clip to float rounding for any hop.
     """
-    frames, hop, n = batch.frames, batch.hop, batch.original_length
+    frames = batch.frames
     if frames.ndim != 3 or frames.shape[1] != 1:
         raise UsageError(f"expected frames shaped (n, 1, L), got {frames.shape}")
-    n_frames, _, frame_len = frames.shape
-    if not 1 <= hop <= frame_len:
-        raise UsageError(f"hop {hop} must lie in [1, frame length {frame_len}]")
-    n_chunks = -(-frame_len // hop)
-    acc = np.zeros((n_frames - 1 + n_chunks, hop))
-    count = np.zeros_like(acc)
-    # Add every frame's j-th hop-long chunk at once, last chunk first, so
-    # each sample sums its frames in frame order: the same float result
-    # as adding the frames one by one.
-    for j in reversed(range(n_chunks)):
-        width = min(hop, frame_len - j * hop)
-        acc[j : j + n_frames, :width] += frames[:, 0, j * hop : j * hop + width]
-        count[j : j + n_frames, :width] += 1.0
-    return acc.ravel()[:n] / count.ravel()[:n]
+    total = OverlapAdd(len(frames), frames.shape[2], batch.hop, batch.original_length)
+    total.add(0, frames)
+    return total.clip()

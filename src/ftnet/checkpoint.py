@@ -82,12 +82,18 @@ def checkpoint_save(params, state, path):
         raise
 
 
+def _count(value, what):
+    """A JSON integer >= 0 (not a bool, float or string), else ValueError."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} {value!r} is not a count")
+    return value
+
+
 def _index_entry(entry):
     """(name, shape, step_count) of one parameter index entry."""
-    name, shape, steps = entry["name"], tuple(int(s) for s in entry["shape"]), entry["step_count"]
-    if type(steps) is not int or steps < 0:
-        raise ValueError(f"{name}: step_count {steps!r} is not a count")
-    return name, shape, steps
+    name = entry["name"]
+    shape = tuple(_count(s, f"{name}: shape entry") for s in entry["shape"])
+    return name, shape, _count(entry["step_count"], f"{name}: step_count")
 
 
 def checkpoint_load(path):
@@ -117,7 +123,7 @@ def checkpoint_load(path):
             train_state = {**train_state, "sample_rate": None}
         state = TrainState.from_dict(train_state)
         index = [_index_entry(entry) for entry in header["params"]]
-        payload_bytes = int(header["payload_bytes"])
+        payload_bytes = _count(header["payload_bytes"], "payload_bytes")
     except (ConfigError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed header ({exc})") from None
     start = 16 + header_len

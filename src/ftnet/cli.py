@@ -17,7 +17,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .audio import FrameBatch, frame_signal, overlap_add, read_wav, write_wav
+from .audio import OverlapAdd, frame_signal, read_wav, write_wav
 from .checkpoint import checkpoint_load, checkpoint_save
 from .errors import (
     ConfigError,
@@ -322,27 +322,15 @@ def cmd_train(args):
     return 0
 
 
-def _enhance_frames(params, frames, collect_hidden):
-    """Run all frames through the network, ``block_frames`` at a time;
-    returns per-stage frame arrays plus per-stage hidden maps (stage-major
-    lists; no maps unless collect_hidden), in the dtype of the frames and
-    weights it is given."""
+def _enhance_blocks(params, frames, dtype, collect_hidden):
+    """Yield (first frame, per-stage estimates, per-stage hidden maps or [] unless
+    collect_hidden) for each ``block_frames`` block of the frames, cast to ``dtype``."""
     block = params.config.block_frames
-    # Estimates always, hidden maps only when asked: slicing the forward's
-    # result drops a block's maps as soon as the forward returns.
-    wanted = slice(1, 3 if collect_hidden else 2)
-    stage_frames = [[] for _ in range(params.config.stages)]
-    stage_hidden = [[] for _ in range(params.config.stages)]
-    with T.no_grad():
-        for lo in range(0, len(frames), block):
-            kept = multistage_forward(params, T.Tensor(frames[lo : lo + block]))[wanted]
-            for per_stage, tensors in zip((stage_frames, stage_hidden), kept):
-                for chunks, tensor in zip(per_stage, tensors):
-                    chunks.append(tensor.data)
-    return (
-        [np.concatenate(chunks) for chunks in stage_frames],
-        [np.concatenate(chunks) for chunks in stage_hidden if chunks],
-    )
+    for lo in range(0, len(frames), block):
+        with T.no_grad():
+            x = T.Tensor(frames[lo : lo + block].astype(dtype))
+            _, estimates, hiddens = multistage_forward(params, x)
+        yield lo, [t.data for t in estimates], [t.data for t in hiddens] if collect_hidden else []
 
 
 def cmd_enhance(args):
@@ -350,8 +338,9 @@ def cmd_enhance(args):
 
     The forward pass runs in float32: every output is rounded to 16-bit PCM,
     whose step is far coarser than float32's error, so float64 would buy
-    nothing but time. The summary line reports the wall time up to the last
-    write and its real-time factor.
+    nothing but time. Each block of frames is overlap-added, and its hidden
+    maps written, as soon as it is enhanced. The summary line reports the
+    wall time up to the last write and its real-time factor.
     """
     start = time.perf_counter()
     params, state = checkpoint_load(args.checkpoint)
@@ -373,29 +362,21 @@ def cmd_enhance(args):
     batch = frame_signal(clip, config.frame_len, config.hop)
     for p in params.values():
         p.tensor.data = p.tensor.data.astype(np.float32)
-    per_stage, hiddens = _enhance_frames(
-        params, batch.frames.astype(np.float32), collect_hidden=bool(args.dump_hidden)
-    )
-
-    def rebuild(frames):
-        return overlap_add(FrameBatch(frames, batch.hop, batch.original_length))
-
-    enhanced = rebuild(per_stage[-1])
-    write_wav(args.outfile, enhanced, rate)
+    total = OverlapAdd(len(batch), config.frame_len, batch.hop, batch.original_length, stages)
+    if args.dump_hidden:
+        hidden_dir = pathlib.Path(args.dump_hidden)
+        hidden_dir.mkdir(parents=True, exist_ok=True)
+    for lo, estimates, hidden in _enhance_blocks(params, batch.frames, np.float32, bool(args.dump_hidden)):
+        total.add(lo, *estimates)
+        for q, maps in enumerate(hidden, start=1):
+            for i, values in enumerate(maps, start=lo):
+                np.savetxt(hidden_dir / f"hidden_stage{q}_frame{i:04d}.txt", values, fmt="%.17g")
+    write_wav(args.outfile, total.clip(stages - 1), rate)
     if args.dump_stages:
         dump_dir = pathlib.Path(args.dump_stages)
         dump_dir.mkdir(parents=True, exist_ok=True)
         for q in range(stages):
-            write_wav(dump_dir / f"stage_{q + 1}.wav", rebuild(per_stage[q]), rate)
-    if args.dump_hidden:
-        hidden_dir = pathlib.Path(args.dump_hidden)
-        hidden_dir.mkdir(parents=True, exist_ok=True)
-        for q in range(stages):
-            for i in range(hiddens[q].shape[0]):
-                np.savetxt(
-                    hidden_dir / f"hidden_stage{q + 1}_frame{i:04d}.txt",
-                    hiddens[q][i], fmt="%.17g",
-                )
+            write_wav(dump_dir / f"stage_{q + 1}.wav", total.clip(q), rate)
     wall = time.perf_counter() - start
     print(
         f"enhanced {args.infile} -> {args.outfile} ({stages} stages, {len(batch)} frames) "

@@ -149,6 +149,13 @@ def test_frames_are_shifted_copies():
         np.testing.assert_array_equal(batch.frames[i, 0], window)
 
 
+def test_frames_are_a_read_only_view_of_one_padded_copy():
+    batch = audio.frame_signal(np.arange(600, dtype=np.float64), frame_len=256, hop=64)
+    with pytest.raises(ValueError, match="read-only"):
+        batch.frames[0, 0, 0] = 1.0
+    assert np.shares_memory(batch.frames[0], batch.frames[1])
+
+
 def test_frame_rejects_empty_and_bad_args():
     with pytest.raises(UsageError):
         audio.frame_signal(np.array([]))
@@ -202,3 +209,38 @@ def test_roundtrip_identity_for_any_geometry(n, frame_len, hop):
     back = audio.overlap_add(audio.frame_signal(clip, frame_len, min(hop, frame_len)))
     assert back.shape == clip.shape
     assert np.max(np.abs(back - clip)) <= 1e-9
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(min_value=1, max_value=3000),
+    frame_len=st.integers(min_value=8, max_value=256),
+    hop=st.integers(min_value=1, max_value=256),
+    data=st.data(),
+)
+def test_overlap_add_fed_block_by_block_gives_the_bytes_of_one_call(n, frame_len, hop, data):
+    hop = min(hop, frame_len)
+    n_frames = len(audio.frame_signal(np.zeros(n), frame_len, hop))
+    rng = np.random.default_rng(n)
+    stages = [rng.standard_normal((n_frames, 1, frame_len)).astype(np.float32) for _ in range(2)]
+    cuts = sorted(data.draw(st.lists(st.integers(0, n_frames), max_size=4)))
+    total = audio.OverlapAdd(n_frames, frame_len, hop, n, stages=2)
+    for lo, hi in zip([0] + cuts, cuts + [n_frames]):
+        total.add(lo, *(frames[lo:hi] for frames in stages))
+    for q, frames in enumerate(stages):
+        whole = audio.overlap_add(audio.FrameBatch(frames, hop, n))
+        assert total.clip(q).tobytes() == whole.tobytes()
+
+
+def test_overlap_add_rejects_frames_out_of_order_and_an_early_read():
+    total = audio.OverlapAdd(n_frames=4, frame_len=8, hop=4, length=20)
+    frames = np.ones((2, 1, 8))
+    with pytest.raises(UsageError, match="frame 0 is next"):
+        total.add(2, frames)
+    total.add(0, frames)
+    with pytest.raises(UsageError, match="after 2 of 4 frames"):
+        total.clip()
+    with pytest.raises(UsageError, match="frame 2 is next"):
+        total.add(1, frames)
+    total.add(2, frames)
+    np.testing.assert_array_equal(total.clip(), 1.0)

@@ -774,7 +774,7 @@ def test_desk_scale_training_and_enhance_run_every_forward_kernel_on_the_calling
         train_epoch(params, TrainState(), pairs, batch_size=2)
         for p in params.values():
             p.tensor.data = p.tensor.data.astype(np.float32)
-        cli._enhance_frames(params, frames, collect_hidden=False)
+        list(cli._enhance_blocks(params, frames, np.float32, collect_hidden=False))
     assert calls and calls == [(True, False)] * len(calls)
 
 

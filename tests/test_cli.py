@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from ftnet import cli
 from ftnet import tensor as T
-from ftnet.audio import FrameBatch, frame_signal, overlap_add, read_wav, write_wav
+from ftnet.audio import OverlapAdd, frame_signal, read_wav, write_wav
 from ftnet.checkpoint import checkpoint_load, checkpoint_save
 from ftnet.mixer import MixManifest
 from ftnet.model import ModelConfig, build_model, multistage_forward
@@ -547,11 +548,13 @@ def test_float32_enhance_stays_within_one_step_of_float64(corpus, capsys, tmp_pa
     clip, rate = read_wav(src)
     batch = frame_signal(clip, params.config.frame_len, params.config.hop)
     assert batch.frames.dtype == params["conv1d_1.weight"].data.dtype == np.float64
-    per_stage, _ = cli._enhance_frames(params, batch.frames, False)
+    total = OverlapAdd(len(batch), params.config.frame_len, batch.hop, clip.size, params.config.stages)
+    for lo, estimates, _ in cli._enhance_blocks(params, batch.frames, np.float64, False):
+        total.add(lo, *estimates)
     got, want = [], []
-    for q, frames in enumerate(per_stage, start=1):
+    for q in range(1, params.config.stages + 1):
         ref = tmp_path / f"ref_{q}.wav"
-        write_wav(ref, overlap_add(FrameBatch(frames, batch.hop, clip.size)), rate)
+        write_wav(ref, total.clip(q - 1), rate)
         want.append(read_wav(ref)[0])
         got.append(read_wav(stage_dir / f"stage_{q}.wav")[0])
     got.append(read_wav(out)[0])
@@ -633,7 +636,10 @@ BLOCKY = build_model(ModelConfig(frame_len=2048, kernel=11, encoder_channels=(16
 def test_enhance_in_blocks_matches_one_whole_batch_pass(n_frames, collect_hidden):
     assert BLOCKY.config.block_frames == 2
     frames = 0.1 * np.random.default_rng(n_frames).standard_normal((n_frames, 1, 2048))
-    per_stage, hiddens = cli._enhance_frames(BLOCKY, frames, collect_hidden)
+    blocks = list(cli._enhance_blocks(BLOCKY, frames, np.float64, collect_hidden))
+    assert [lo for lo, _, _ in blocks] == list(range(0, n_frames, 2))
+    per_stage = [np.concatenate(arrays) for arrays in zip(*(est for _, est, _ in blocks))]
+    hiddens = [np.concatenate(arrays) for arrays in zip(*(hid for _, _, hid in blocks))]
     with T.no_grad():
         _, want, want_hidden = multistage_forward(BLOCKY, T.Tensor(frames))
     for got, ref in zip(per_stage, want, strict=True):
@@ -662,9 +668,33 @@ BLOCKY32 = cast_weights(BLOCKY, np.float32)
 def test_enhance_frames_keep_the_dtype_they_are_given(n_frames, dtype):
     params = BLOCKY32 if dtype is np.float32 else BLOCKY
     frames = 0.1 * np.random.default_rng(n_frames).standard_normal((n_frames, 1, 2048))
-    per_stage, hiddens = cli._enhance_frames(params, frames.astype(dtype), True)
-    assert [a.dtype for a in per_stage + hiddens] == [np.dtype(dtype)] * 4
-    assert [a.shape[0] for a in per_stage + hiddens] == [n_frames] * 4
+    arrays = [a for _, est, hid in cli._enhance_blocks(params, frames.astype(dtype), dtype, True)
+              for a in est + hid]
+    assert [a.dtype for a in arrays] == [np.dtype(dtype)] * len(arrays)
+    assert sum(a.shape[0] for a in arrays) == 4 * n_frames
+
+
+def test_enhance_memory_grows_by_clip_length_arrays_not_by_frames(tmp_path, capsys):
+    # 8x overlap, as at full size: were the clip's frames held, the peak
+    # would grow by ~8 float64 values per sample for each copy of them.
+    config = ModelConfig(frame_len=64, hop=8, kernel=3, encoder_channels=(2, 2, 4),
+                         glu_dilations=(1,), glu_bottleneck=2, stages=3, seed=1)
+    ckpt = tmp_path / "tiny.ckpt"
+    checkpoint_save(build_model(config), TrainState(), ckpt)
+    peaks = []
+    for n in (64000, 256000):
+        clip = tmp_path / f"in_{n}.wav"
+        write_wav(clip, 0.1 * np.random.default_rng(n).standard_normal(n))
+        tracemalloc.start()
+        try:
+            code = cli.main(["enhance", "--checkpoint", str(ckpt), "--in", str(clip),
+                             "--out", str(tmp_path / "out.wav")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    capsys.readouterr()
+    assert (peaks[1] - peaks[0]) / (256000 - 64000) <= 128
 
 
 def test_enhance_stage_override_runs_the_first_passes(corpus, capsys, tmp_path):

@@ -94,7 +94,8 @@ def test_float32_enhance_stays_within_one_pcm_step_of_the_oracle(config, batch, 
     params = build_model(config)
     for p in params.values():
         p.tensor.data = p.tensor.data.astype(np.float32)
-    per_stage, _ = cli._enhance_frames(params, noisy.astype(np.float32), collect_hidden=False)
+    blocks = [est for _, est, _ in cli._enhance_blocks(params, noisy, np.float32, collect_hidden=False)]
+    per_stage = [np.concatenate(arrays) for arrays in zip(*blocks)]
     _, ref_stages = oracle.multistage(oracle.init_params(config.to_dict()), config.to_dict(), noisy)
     assert len(per_stage) == len(ref_stages) == config.stages
     for got, want in zip(per_stage, ref_stages):

@@ -454,8 +454,14 @@ def test_checkpoint_rejects_a_payload_that_does_not_match_its_index(tmp_path, ed
     lambda h: h["params"].__setitem__(0, list(h["params"][0].values())),
     lambda h: h.update(params=5),
     lambda h: h["params"][0].update(step_count=-1),
+    # Each of these was coerced into a valid header.
+    lambda h: h["params"][0]["shape"].__setitem__(0, h["params"][0]["shape"][0] + 0.7),
+    lambda h: h["params"][1]["shape"].__setitem__(0, True),
+    lambda h: h.update(payload_bytes=str(h["payload_bytes"])),
+    lambda h: h.update(payload_bytes=h["payload_bytes"] + 0.5),
 ], ids=["no-step-count", "no-shape", "step-count-text", "entry-a-list", "params-a-number",
-        "negative-step-count"])
+        "negative-step-count", "float-shape", "bool-shape", "text-payload-bytes",
+        "float-payload-bytes"])
 def test_checkpoint_rejects_a_malformed_index_entry(tmp_path, edit_header):
     path = tmp_path / "bad.ckpt"
     checkpoint_save(build_model(micro_config()), TrainState(), path)
