@@ -7,13 +7,12 @@ back into a clip of the original length.
 """
 
 import wave
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSignalError, FormatError, UsageError
 
-__all__ = ["FrameBatch", "OverlapAdd", "read_wav", "write_wav", "frame_signal", "overlap_add"]
+__all__ = ["OverlapAdd", "read_wav", "write_wav", "frame_signal", "overlap_add"]
 
 PCM_SCALE = 32768
 
@@ -53,31 +52,25 @@ def write_wav(path, signal, sample_rate=16000):
         raise UsageError(f"sample rate must be positive, got {sample_rate}")
     if not np.isfinite(signal).all():
         raise DegenerateSignalError(f"{path}: clip samples are not finite (NaN or infinity)")
-    clamped = np.clip(signal, -1.0, 1.0)
-    scaled = clamped * PCM_SCALE
-    ints = np.trunc(scaled + np.copysign(0.5, scaled))
-    ints = np.clip(ints, -PCM_SCALE, PCM_SCALE - 1).astype("<i2")
+    # On one copy: |x| * 32768 + 0.5, truncated and given x's sign back,
+    # rounds half away from zero as trunc(x * 32768 + copysign(0.5, x)) does.
+    scaled = np.clip(signal, -1.0, 1.0)
+    np.abs(scaled, out=scaled)
+    scaled *= PCM_SCALE
+    scaled += 0.5
+    np.trunc(scaled, out=scaled)
+    np.copysign(scaled, signal, out=scaled)
+    ints = np.clip(scaled, -PCM_SCALE, PCM_SCALE - 1, out=scaled).astype("<i2")
     with wave.open(str(path), "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
         wav.setframerate(int(sample_rate))
-        wav.writeframes(ints.tobytes())
-
-
-@dataclass
-class FrameBatch:
-    """Frames stacked as (n_frames, 1, frame_len), plus what rebuilds the clip."""
-
-    frames: np.ndarray
-    hop: int
-    original_length: int
-
-    def __len__(self):
-        return self.frames.shape[0]
+        wav.writeframes(ints)
 
 
 def frame_signal(clip, frame_len=2048, hop=256):
-    """Slice a clip into overlapping frames, zero-padding the tail.
+    """Slice a clip into overlapping frames shaped (n_frames, 1, frame_len),
+    zero-padding the tail.
 
     The frame count is ceil(max(n - frame_len, 0) / hop) + 1: every sample
     lands in at least one frame and a clip shorter than one frame still
@@ -97,7 +90,7 @@ def frame_signal(clip, frame_len=2048, hop=256):
     padded = np.concatenate([clip, np.zeros((n_frames - 1) * hop + frame_len - clip.size)])
     frames = np.ndarray((n_frames, 1, frame_len), padded.dtype, padded, strides=(8 * hop, 0, 8))
     frames.flags.writeable = False
-    return FrameBatch(frames=frames, hop=hop, original_length=clip.size)
+    return frames
 
 
 class OverlapAdd:
@@ -134,16 +127,16 @@ class OverlapAdd:
         return self.sums[stage].ravel()[: self.length] / self.count.ravel()[: self.length]
 
 
-def overlap_add(batch):
-    """Rebuild the clip by averaging every frame's contribution per sample.
+def overlap_add(frames, hop, length):
+    """Rebuild a ``length``-sample clip from frames ``hop`` apart by averaging
+    every frame's contribution per sample.
 
     Rectangular analysis windows make this the exact inverse of
     frame_signal (each covering frame holds an identical copy), so the
     round trip reproduces the clip to float rounding for any hop.
     """
-    frames = batch.frames
     if frames.ndim != 3 or frames.shape[1] != 1:
         raise UsageError(f"expected frames shaped (n, 1, L), got {frames.shape}")
-    total = OverlapAdd(len(frames), frames.shape[2], batch.hop, batch.original_length)
+    total = OverlapAdd(len(frames), frames.shape[2], hop, length)
     total.add(0, frames)
     return total.clip()

@@ -39,29 +39,16 @@ MAGIC = b"FTNC"
 VERSION = 2
 
 
-def _param_payload(p):
-    return (
-        p.tensor.data.astype("<f8", copy=False).tobytes(),
-        p.m.astype("<f8", copy=False).tobytes(),
-        p.v.astype("<f8", copy=False).tobytes(),
-    )
-
-
 def checkpoint_save(params, state, path):
     """Write params + state to path atomically; same inputs give same bytes."""
-    index = []
-    chunks = []
-    payload_bytes = 0
-    for name, p in params.items():
-        index.append({"name": name, "shape": list(p.tensor.shape), "step_count": p.step_count})
-        for chunk in _param_payload(p):
-            chunks.append(chunk)
-            payload_bytes += len(chunk)
+    index = [{"name": name, "shape": list(p.tensor.shape), "step_count": p.step_count}
+             for name, p in params.items()]
     header = {
         "config": params.config.to_dict(),
         "train_state": state.to_dict(),
         "params": index,
-        "payload_bytes": payload_bytes,
+        # values, then the two Adam moments, as float64
+        "payload_bytes": 3 * 8 * sum(p.tensor.data.size for p in params.values()),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tmp = f"{os.fspath(path)}.tmp"
@@ -71,8 +58,9 @@ def checkpoint_save(params, state, path):
             fh.write(struct.pack("<I", VERSION))
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
-            for chunk in chunks:
-                fh.write(chunk)
+            for p in params.values():  # each array's own bytes: no copy of the payload
+                for values in (p.tensor.data, p.m, p.v):
+                    fh.write(memoryview(np.ascontiguousarray(values, dtype="<f8")).cast("B"))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -135,8 +123,7 @@ def checkpoint_load(path):
     # Values and moments go straight from the file's bytes into the fresh
     # model's arrays: no second copy of the payload.
     params = build_model(config)
-    names = params.names()
-    if [name for name, _, _ in index] != names:
+    if [name for name, _, _ in index] != list(params):
         raise FormatError(f"{path}: parameter index does not match the config's layout")
     offset = start
     for name, shape, steps in index:

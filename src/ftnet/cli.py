@@ -38,7 +38,7 @@ from .mixer import (
     synth_clean,
     synth_noise,
 )
-from .model import ModelConfig, build_model, multistage_forward, analyze_structure
+from .model import ModelConfig, build_model, forward_blocks, analyze_structure
 from .training import BATCH_SIZE, LOG_HEADER, LR, MAX_EPOCHS, TrainState, fit, format_log_row
 
 __all__ = ["main", "EXIT_CODES"]
@@ -322,17 +322,6 @@ def cmd_train(args):
     return 0
 
 
-def _enhance_blocks(params, frames, dtype, collect_hidden):
-    """Yield (first frame, per-stage estimates, per-stage hidden maps or [] unless
-    collect_hidden) for each ``block_frames`` block of the frames, cast to ``dtype``."""
-    block = params.config.block_frames
-    for lo in range(0, len(frames), block):
-        with T.no_grad():
-            x = T.Tensor(frames[lo : lo + block].astype(dtype))
-            _, estimates, hiddens = multistage_forward(params, x)
-        yield lo, [t.data for t in estimates], [t.data for t in hiddens] if collect_hidden else []
-
-
 def cmd_enhance(args):
     """Frame -> Q-stage forward -> overlap-add; optional per-stage dumps.
 
@@ -359,18 +348,20 @@ def cmd_enhance(args):
             f"{args.infile}: {rate} Hz input, but the checkpoint was trained at "
             f"{state.sample_rate} Hz"
         )
-    batch = frame_signal(clip, config.frame_len, config.hop)
+    frames = frame_signal(clip, config.frame_len, config.hop)
     for p in params.values():
         p.tensor.data = p.tensor.data.astype(np.float32)
-    total = OverlapAdd(len(batch), config.frame_len, batch.hop, batch.original_length, stages)
+    total = OverlapAdd(len(frames), config.frame_len, config.hop, clip.size, stages)
     if args.dump_hidden:
         hidden_dir = pathlib.Path(args.dump_hidden)
         hidden_dir.mkdir(parents=True, exist_ok=True)
-    for lo, estimates, hidden in _enhance_blocks(params, batch.frames, np.float32, bool(args.dump_hidden)):
-        total.add(lo, *estimates)
-        for q, maps in enumerate(hidden, start=1):
-            for i, values in enumerate(maps, start=lo):
-                np.savetxt(hidden_dir / f"hidden_stage{q}_frame{i:04d}.txt", values, fmt="%.17g")
+    with T.no_grad():
+        for lo, _, estimates, hiddens in forward_blocks(params, frames, np.float32):
+            total.add(lo, *(t.data for t in estimates))
+            for q, maps in enumerate(hiddens if args.dump_hidden else [], start=1):
+                for i, values in enumerate(maps.data, start=lo):
+                    np.savetxt(hidden_dir / f"hidden_stage{q}_frame{i:04d}.txt", values,
+                               fmt="%.17g")
     write_wav(args.outfile, total.clip(stages - 1), rate)
     if args.dump_stages:
         dump_dir = pathlib.Path(args.dump_stages)
@@ -379,8 +370,8 @@ def cmd_enhance(args):
             write_wav(dump_dir / f"stage_{q + 1}.wav", total.clip(q), rate)
     wall = time.perf_counter() - start
     print(
-        f"enhanced {args.infile} -> {args.outfile} ({stages} stages, {len(batch)} frames) "
-        f"in {wall:.3f} s, rtf {wall * rate / batch.original_length:.4f}"
+        f"enhanced {args.infile} -> {args.outfile} ({stages} stages, {len(frames)} frames) "
+        f"in {wall:.3f} s, rtf {wall * rate / clip.size:.4f}"
     )
     return 0
 

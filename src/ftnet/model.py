@@ -31,6 +31,7 @@ __all__ = [
     "glu_forward",
     "stage_forward",
     "multistage_forward",
+    "forward_blocks",
     "trace_shapes",
     "count_parameters",
     "analyze_structure",
@@ -90,7 +91,8 @@ class ModelConfig:
 
     @property
     def block_frames(self):
-        """Frames per forward pass in enhance, validation and training.
+        """Frames per forward pass of ``forward_blocks``, which runs the
+        network for enhance, validation and training.
 
         The largest im2col copy, the GRU convs' C0*K*frame_len/2 float64
         values per frame, stays near an L2 cache (3 MiB): 2 frames at full
@@ -123,9 +125,6 @@ class FTNetParams(dict):
 
     def __missing__(self, name):
         raise ConfigError(f"no parameter named {name!r}")
-
-    def names(self):
-        return list(self)
 
     def zero_grad(self):
         for p in self.values():
@@ -374,6 +373,18 @@ def multistage_forward(params, x):
         estimates.append(estimate.detach())
         hiddens.append(hidden.detach())
     return estimate, estimates, hiddens
+
+
+def forward_blocks(params, frames, dtype=np.float64):
+    """Run ``multistage_forward`` on each ``block_frames`` block of ``frames``.
+
+    frames is (n, 1, frame_len) of any dtype; each block, not the whole
+    array, is copied as ``dtype``. Yields (first frame, final, estimates,
+    hiddens) per block, in frame order.
+    """
+    size = params.config.block_frames
+    for lo in range(0, len(frames), size):
+        yield lo, *multistage_forward(params, Tensor(frames[lo : lo + size].astype(dtype)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .audio import frame_signal
 from .errors import ConfigError, DegenerateSignalError, UsageError
-from .model import multistage_forward
+from .model import forward_blocks
 from .tensor import Tensor, adam_step, mae_loss, mul, no_grad
 
 __all__ = [
@@ -140,23 +140,20 @@ def format_log_row(row):
 def _stacked_frames(pairs, config):
     """Frame every utterance in the batch and stack along the batch axis: (noisy, clean)."""
     return tuple(
-        np.concatenate([frame_signal(clip, config.frame_len, config.hop).frames for clip in clips])
+        np.concatenate([frame_signal(clip, config.frame_len, config.hop) for clip in clips])
         for clips in ([p.noisy for p in pairs], [p.clean for p in pairs])
     )
 
 
 def _block_losses(params, noisy, clean):
-    """Final-stage MAE of each ``block_frames`` block of the frames.
+    """Final-stage MAE of each ``forward_blocks`` block of the frames.
 
     Each block's MAE is weighted by its share of the frames, so the block
     losses sum to the MAE over all frames, and so do their gradients.
     """
-    n = len(noisy)
-    size = params.config.block_frames
-    for lo in range(0, n, size):
-        final, _, _ = multistage_forward(params, Tensor(noisy[lo : lo + size]))
-        share = Tensor(len(final.data) / n)
-        yield mul(mae_loss(final, Tensor(clean[lo : lo + size])), share)
+    for lo, final, _, _ in forward_blocks(params, noisy):
+        n = len(final.data)
+        yield mul(mae_loss(final, Tensor(clean[lo : lo + n])), Tensor(n / len(noisy)))
 
 
 def _require_finite(value, what):
@@ -171,7 +168,7 @@ def train_epoch(params, state, train_pairs, *, batch_size=BATCH_SIZE):
     Each minibatch frames its utterances, runs the configured number of
     stages, takes MAE against the clean frames on the final output only,
     and applies one Adam step at the state's current learning rate. The
-    frames run in ``block_frames`` blocks, each backpropagated before the
+    frames run in ``forward_blocks`` blocks, each backpropagated before the
     next is formed, so memory is bounded by one block's graph. A
     non-finite block loss raises DegenerateSignalError before its backward
     pass, after clearing the gradients of the blocks before it, so no
@@ -203,7 +200,7 @@ def train_epoch(params, state, train_pairs, *, batch_size=BATCH_SIZE):
 def validate(params, val_pairs):
     """Mean of per-utterance MAEs, computed without touching any parameter.
 
-    Each utterance runs in ``block_frames`` blocks. A non-finite mean
+    Each utterance runs in ``forward_blocks`` blocks. A non-finite mean
     raises DegenerateSignalError.
     """
     pairs = list(val_pairs)

@@ -1,5 +1,6 @@
 """WAV round trips and the frame/overlap-add inverse pair."""
 
+import tracemalloc
 import wave
 
 import numpy as np
@@ -50,6 +51,32 @@ def test_out_of_range_values_clamp(tmp_path):
     audio.write_wav(path, np.array([2.0, -2.0, 1.0]))
     back, _ = audio.read_wav(path)
     np.testing.assert_array_equal(back * 32768, [32767.0, -32768.0, 32767.0])
+
+
+def test_write_gives_the_bytes_of_the_plain_rounding_formula(tmp_path):
+    steps = np.arange(-4.0, 4.0) + 0.5
+    clip = np.concatenate([
+        [1.0, -1.0, 0.0, -0.0, 1.0 + 1e-9, -1.0 - 1e-9, 2.0, -2.0],  # the ends and past them
+        [32767.5 / 32768, -32767.5 / 32768],
+        steps / 32768, (steps + 20000) / 32768, -(steps + 20000) / 32768, RNG.uniform(-1.5, 1.5, 2000),
+    ])
+    scaled = np.clip(clip, -1.0, 1.0) * 32768
+    want = np.clip(np.trunc(scaled + np.copysign(0.5, scaled)), -32768, 32767).astype("<i2")
+    path = tmp_path / "formula.wav"
+    audio.write_wav(path, clip)
+    with wave.open(str(path), "rb") as wav:
+        assert wav.readframes(wav.getnframes()) == want.tobytes()
+
+
+def test_write_holds_one_float64_copy_of_the_clip(tmp_path):
+    clip = RNG.uniform(-1.2, 1.2, size=1_000_000)
+    tracemalloc.start()
+    try:
+        audio.write_wav(tmp_path / "long.wav", clip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / clip.size <= 16  # bytes per sample
 
 
 def test_write_rejects_non_finite_samples_before_creating_the_file(tmp_path):
@@ -115,45 +142,41 @@ def test_write_rejects_matrix_input(tmp_path):
 
 
 def test_four_second_clip_frame_count():
-    batch = audio.frame_signal(np.zeros(64000), frame_len=2048, hop=256)
-    assert len(batch) == 243
-    assert batch.frames.shape == (243, 1, 2048)
+    frames = audio.frame_signal(np.zeros(64000), frame_len=2048, hop=256)
+    assert frames.shape == (243, 1, 2048)
 
 
 def test_short_clip_yields_one_padded_frame():
     clip = RNG.standard_normal(1000)
-    batch = audio.frame_signal(clip, frame_len=2048, hop=256)
-    assert len(batch) == 1
-    np.testing.assert_array_equal(batch.frames[0, 0, :1000], clip)
-    np.testing.assert_array_equal(batch.frames[0, 0, 1000:], 0.0)
-    assert batch.original_length == 1000
+    frames = audio.frame_signal(clip, frame_len=2048, hop=256)
+    assert frames.shape == (1, 1, 2048)
+    np.testing.assert_array_equal(frames[0, 0, :1000], clip)
+    np.testing.assert_array_equal(frames[0, 0, 1000:], 0.0)
 
 
 def test_exact_frame_length_yields_one_frame():
-    batch = audio.frame_signal(np.ones(2048), frame_len=2048, hop=256)
-    assert len(batch) == 1
+    assert len(audio.frame_signal(np.ones(2048), frame_len=2048, hop=256)) == 1
 
 
 def test_one_extra_sample_adds_a_frame():
-    batch = audio.frame_signal(np.ones(2049), frame_len=2048, hop=256)
-    assert len(batch) == 2
+    assert len(audio.frame_signal(np.ones(2049), frame_len=2048, hop=256)) == 2
 
 
 def test_frames_are_shifted_copies():
     clip = np.arange(600, dtype=np.float64)
-    batch = audio.frame_signal(clip, frame_len=256, hop=64)
-    for i in range(len(batch)):
+    frames = audio.frame_signal(clip, frame_len=256, hop=64)
+    for i in range(len(frames)):
         window = np.zeros(256)
         chunk = clip[i * 64 : i * 64 + 256]
         window[: chunk.size] = chunk
-        np.testing.assert_array_equal(batch.frames[i, 0], window)
+        np.testing.assert_array_equal(frames[i, 0], window)
 
 
 def test_frames_are_a_read_only_view_of_one_padded_copy():
-    batch = audio.frame_signal(np.arange(600, dtype=np.float64), frame_len=256, hop=64)
+    frames = audio.frame_signal(np.arange(600, dtype=np.float64), frame_len=256, hop=64)
     with pytest.raises(ValueError, match="read-only"):
-        batch.frames[0, 0, 0] = 1.0
-    assert np.shares_memory(batch.frames[0], batch.frames[1])
+        frames[0, 0, 0] = 1.0
+    assert np.shares_memory(frames[0], frames[1])
 
 
 def test_frame_rejects_empty_and_bad_args():
@@ -172,7 +195,7 @@ def test_hop_longer_than_a_frame_is_rejected():
         audio.frame_signal(np.ones(2000), frame_len=512, hop=1024)
     frames = np.ones((2, 1, 512))
     with pytest.raises(UsageError, match="hop 1024 must lie in"):
-        audio.overlap_add(audio.FrameBatch(frames, hop=1024, original_length=1536))
+        audio.overlap_add(frames, hop=1024, length=1536)
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +205,17 @@ def test_hop_longer_than_a_frame_is_rejected():
 def test_overlap_add_inverts_framing():
     for n in (1, 100, 1000, 2047, 2048, 2049, 64000):
         clip = RNG.standard_normal(n)
-        back = audio.overlap_add(audio.frame_signal(clip, 2048, 256))
+        back = audio.overlap_add(audio.frame_signal(clip, 2048, 256), 256, n)
         assert back.shape == clip.shape
         assert np.max(np.abs(back - clip)) <= 1e-6, n
 
 
 def test_overlap_add_interior_coverage_is_uniform():
     # With frame_len / hop = 8, interior samples appear in exactly 8 frames.
-    batch = audio.frame_signal(np.ones(64000), 2048, 256)
-    n_frames, _, frame_len = batch.frames.shape
-    count = np.zeros((n_frames - 1) * batch.hop + frame_len)
+    n_frames, _, frame_len = audio.frame_signal(np.ones(64000), 2048, 256).shape
+    count = np.zeros((n_frames - 1) * 256 + frame_len)
     for i in range(n_frames):
-        count[i * batch.hop : i * batch.hop + frame_len] += 1
+        count[i * 256 : i * 256 + frame_len] += 1
     assert count[frame_len : -frame_len].min() == 8
     assert count[frame_len : -frame_len].max() == 8
 
@@ -206,7 +228,8 @@ def test_overlap_add_interior_coverage_is_uniform():
 )
 def test_roundtrip_identity_for_any_geometry(n, frame_len, hop):
     clip = np.random.default_rng(n).standard_normal(n)
-    back = audio.overlap_add(audio.frame_signal(clip, frame_len, min(hop, frame_len)))
+    hop = min(hop, frame_len)
+    back = audio.overlap_add(audio.frame_signal(clip, frame_len, hop), hop, n)
     assert back.shape == clip.shape
     assert np.max(np.abs(back - clip)) <= 1e-9
 
@@ -228,7 +251,7 @@ def test_overlap_add_fed_block_by_block_gives_the_bytes_of_one_call(n, frame_len
     for lo, hi in zip([0] + cuts, cuts + [n_frames]):
         total.add(lo, *(frames[lo:hi] for frames in stages))
     for q, frames in enumerate(stages):
-        whole = audio.overlap_add(audio.FrameBatch(frames, hop, n))
+        whole = audio.overlap_add(frames, hop, n)
         assert total.clip(q).tobytes() == whole.tobytes()
 
 

@@ -21,10 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftnet import cli
 from ftnet import tensor as T
 from ftnet.errors import UsageError
-from ftnet.model import ModelConfig, build_model, multistage_forward
+from ftnet.model import ModelConfig, build_model, forward_blocks, multistage_forward
 from ftnet.training import TrainState, train_epoch
 
 from conv_geometry import conv1d_geometry, conv1d_transpose_geometry, operands
@@ -774,7 +773,8 @@ def test_desk_scale_training_and_enhance_run_every_forward_kernel_on_the_calling
         train_epoch(params, TrainState(), pairs, batch_size=2)
         for p in params.values():
             p.tensor.data = p.tensor.data.astype(np.float32)
-        list(cli._enhance_blocks(params, frames, np.float32, collect_hidden=False))
+        with T.no_grad():
+            list(forward_blocks(params, frames, np.float32))
     assert calls and calls == [(True, False)] * len(calls)
 
 

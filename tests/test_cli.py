@@ -15,7 +15,7 @@ from ftnet import tensor as T
 from ftnet.audio import OverlapAdd, frame_signal, read_wav, write_wav
 from ftnet.checkpoint import checkpoint_load, checkpoint_save
 from ftnet.mixer import MixManifest
-from ftnet.model import ModelConfig, build_model, multistage_forward
+from ftnet.model import ModelConfig, build_model, forward_blocks, multistage_forward
 from ftnet.training import TrainState
 
 MICRO_CONFIG = """\
@@ -546,11 +546,13 @@ def test_float32_enhance_stays_within_one_step_of_float64(corpus, capsys, tmp_pa
     capsys.readouterr()
     params, _ = checkpoint_load(ckpt)
     clip, rate = read_wav(src)
-    batch = frame_signal(clip, params.config.frame_len, params.config.hop)
-    assert batch.frames.dtype == params["conv1d_1.weight"].data.dtype == np.float64
-    total = OverlapAdd(len(batch), params.config.frame_len, batch.hop, clip.size, params.config.stages)
-    for lo, estimates, _ in cli._enhance_blocks(params, batch.frames, np.float64, False):
-        total.add(lo, *estimates)
+    frames = frame_signal(clip, params.config.frame_len, params.config.hop)
+    assert frames.dtype == params["conv1d_1.weight"].data.dtype == np.float64
+    total = OverlapAdd(len(frames), params.config.frame_len, params.config.hop, clip.size,
+                       params.config.stages)
+    with T.no_grad():
+        for lo, _, estimates, _ in forward_blocks(params, frames):
+            total.add(lo, *(t.data for t in estimates))
     got, want = [], []
     for q in range(1, params.config.stages + 1):
         ref = tmp_path / f"ref_{q}.wav"
@@ -603,7 +605,7 @@ def test_version_1_checkpoint_still_loads_and_enhances(corpus, capsys):
     old_params, old_state = checkpoint_load(old)
     assert old_state.sample_rate is None
     assert old_state.to_dict() == {**state.to_dict(), "sample_rate": None}
-    for name in params.names():
+    for name in params:
         np.testing.assert_array_equal(old_params[name].data, params[name].data)
     src = corpus / "corpus" / "clean" / "clean_000.wav"
     outs = []
@@ -631,24 +633,17 @@ BLOCKY = build_model(ModelConfig(frame_len=2048, kernel=11, encoder_channels=(16
 
 
 @settings(max_examples=12)
-@given(n_frames=st.integers(min_value=1, max_value=4 * BLOCKY.config.block_frames - 1),
-       collect_hidden=st.booleans())
-def test_enhance_in_blocks_matches_one_whole_batch_pass(n_frames, collect_hidden):
+@given(n_frames=st.integers(min_value=1, max_value=4 * BLOCKY.config.block_frames - 1))
+def test_enhance_in_blocks_matches_one_whole_batch_pass(n_frames):
     assert BLOCKY.config.block_frames == 2
     frames = 0.1 * np.random.default_rng(n_frames).standard_normal((n_frames, 1, 2048))
-    blocks = list(cli._enhance_blocks(BLOCKY, frames, np.float64, collect_hidden))
-    assert [lo for lo, _, _ in blocks] == list(range(0, n_frames, 2))
-    per_stage = [np.concatenate(arrays) for arrays in zip(*(est for _, est, _ in blocks))]
-    hiddens = [np.concatenate(arrays) for arrays in zip(*(hid for _, _, hid in blocks))]
     with T.no_grad():
-        _, want, want_hidden = multistage_forward(BLOCKY, T.Tensor(frames))
-    for got, ref in zip(per_stage, want, strict=True):
-        np.testing.assert_allclose(got, ref.data, rtol=1e-12)
-    if collect_hidden:
-        for got, ref in zip(hiddens, want_hidden, strict=True):
-            np.testing.assert_allclose(got, ref.data, rtol=1e-12)
-    else:
-        assert hiddens == []
+        blocks = list(forward_blocks(BLOCKY, frames))
+        final, want, want_hidden = multistage_forward(BLOCKY, T.Tensor(frames))
+    assert [lo for lo, *_ in blocks] == list(range(0, n_frames, 2))
+    per_block = [[block_final] + est + hid for _, block_final, est, hid in blocks]
+    for got, ref in zip(zip(*per_block), [final] + want + want_hidden, strict=True):
+        np.testing.assert_allclose(np.concatenate([t.data for t in got]), ref.data, rtol=1e-12)
 
 
 def cast_weights(params, dtype):
@@ -668,10 +663,11 @@ BLOCKY32 = cast_weights(BLOCKY, np.float32)
 def test_enhance_frames_keep_the_dtype_they_are_given(n_frames, dtype):
     params = BLOCKY32 if dtype is np.float32 else BLOCKY
     frames = 0.1 * np.random.default_rng(n_frames).standard_normal((n_frames, 1, 2048))
-    arrays = [a for _, est, hid in cli._enhance_blocks(params, frames.astype(dtype), dtype, True)
-              for a in est + hid]
+    with T.no_grad():  # float64 frames, each block cast to ``dtype``
+        arrays = [t.data for _, final, est, hid in forward_blocks(params, frames, dtype)
+                  for t in [final] + est + hid]
     assert [a.dtype for a in arrays] == [np.dtype(dtype)] * len(arrays)
-    assert sum(a.shape[0] for a in arrays) == 4 * n_frames
+    assert sum(a.shape[0] for a in arrays) == 5 * n_frames
 
 
 def test_enhance_memory_grows_by_clip_length_arrays_not_by_frames(tmp_path, capsys):

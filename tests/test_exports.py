@@ -79,3 +79,14 @@ def test_no_function_rebinds_module_state_but_the_worker():
         if isinstance(node, ast.Global) for name in node.names if name != "_executor"
     ]
     assert rebound == []
+
+
+def test_only_the_model_reads_block_frames():
+    """``model.forward_blocks`` is the one loop over frame blocks, so no other
+    ftnet module reads ``block_frames`` to slice frames itself."""
+    src = pathlib.Path(ftnet.__file__).parent
+    readers = sorted(
+        path.name for path in src.glob("*.py")
+        if names_in(ast.parse(path.read_text(encoding="utf-8")))["block_frames"]
+    )
+    assert readers == ["model.py"]

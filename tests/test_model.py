@@ -106,9 +106,9 @@ def test_build_is_deterministic_per_seed():
     a = M.build_model(tiny_config(seed=3))
     b = M.build_model(tiny_config(seed=3))
     c = M.build_model(tiny_config(seed=4))
-    for name in a.names():
+    for name in a:
         np.testing.assert_array_equal(a[name].data, b[name].data)
-    assert any(not np.array_equal(a[n].data, c[n].data) for n in a.names())
+    assert any(not np.array_equal(a[n].data, c[n].data) for n in a)
 
 
 def test_init_scale_tracks_fan_in():
@@ -337,12 +337,12 @@ def test_stages_share_weights_and_grads_flow_through_all():
     # One pass over the very same parameter objects.
     final, _, _ = M.multistage_forward(M.FTNetParams(replace(cfg, stages=1), params), x)
     T.mae_loss(final, target).backward()
-    single = {n: params[n].grad.copy() for n in params.names()}
+    single = {n: params[n].grad.copy() for n in params}
     params.zero_grad()
 
     final, _, _ = M.multistage_forward(params, x)
     T.mae_loss(final, target).backward()
-    double = {n: params[n].grad.copy() for n in params.names()}
+    double = {n: params[n].grad.copy() for n in params}
 
     # Same parameter objects serve every pass; the second pass must add
     # feedback terms, so gradients cannot coincide with the one-pass run.
@@ -357,7 +357,7 @@ def test_intermediate_estimates_cannot_leak_gradients():
     _, estimates, _ = M.multistage_forward(params, x)
     loss = T.mul(estimates[0], estimates[0]).sum()
     loss.backward()
-    assert all(params[n].grad is None for n in params.names())
+    assert all(params[n].grad is None for n in params)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftnet import cli
 from ftnet import tensor as T
-from ftnet.model import ModelConfig, build_model, multistage_forward
+from ftnet.model import ModelConfig, build_model, forward_blocks, multistage_forward
 from ftnet.training import TrainState, train_epoch
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -94,7 +93,8 @@ def test_float32_enhance_stays_within_one_pcm_step_of_the_oracle(config, batch, 
     params = build_model(config)
     for p in params.values():
         p.tensor.data = p.tensor.data.astype(np.float32)
-    blocks = [est for _, est, _ in cli._enhance_blocks(params, noisy, np.float32, collect_hidden=False)]
+    with T.no_grad():
+        blocks = [[t.data for t in est] for _, _, est, _ in forward_blocks(params, noisy, np.float32)]
     per_stage = [np.concatenate(arrays) for arrays in zip(*blocks)]
     _, ref_stages = oracle.multistage(oracle.init_params(config.to_dict()), config.to_dict(), noisy)
     assert len(per_stage) == len(ref_stages) == config.stages

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftnet import checkpoint, mixer, training
+from ftnet import checkpoint, mixer, tensor, training
 from ftnet.audio import frame_signal
 from ftnet.checkpoint import checkpoint_load, checkpoint_save
 from ftnet.errors import DegenerateSignalError, FormatError, UsageError
@@ -67,11 +67,11 @@ def zeroed(params):
 
 
 def snapshot(params):
-    return {n: params[n].data.copy() for n in params.names()}
+    return {n: params[n].data.copy() for n in params}
 
 
 def assert_same_weights(params, saved):
-    for n in params.names():
+    for n in params:
         np.testing.assert_array_equal(params[n].data, saved[n])
 
 
@@ -165,7 +165,7 @@ def test_blocked_minibatch_gives_the_whole_minibatch_loss_and_gradients(monkeypa
     pairs = [blocky_pair(3, rng), blocky_pair(2, rng)]  # 5 frames: blocks of 2, 2 and 1
 
     def stacked(side):
-        return Tensor(np.concatenate([frame_signal(getattr(p, side), 2048, 1024).frames
+        return Tensor(np.concatenate([frame_signal(getattr(p, side), 2048, 1024)
                                       for p in pairs]))
 
     whole = mae_loss(multistage_forward(params, stacked("noisy"))[0], stacked("clean"))
@@ -183,7 +183,10 @@ def test_blocked_minibatch_gives_the_whole_minibatch_loss_and_gradients(monkeypa
         np.testing.assert_allclose(got[name], want[name], rtol=1e-10, err_msg=name)
 
 
-def test_minibatch_memory_is_bounded_by_one_block():
+def test_minibatch_memory_is_bounded_by_one_block(monkeypatch):
+    # On one CPU nothing splits or hands off, so no peak depends on when the
+    # worker's half of a conv is taken back.
+    monkeypatch.setattr(tensor, "_cpus_allowed", lambda: 1)
     params = build_model(blocky_config())
 
     def peak(n_frames):
@@ -351,7 +354,7 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     checkpoint_save(params, state, path)
     loaded_params, loaded_state = checkpoint_load(path)
     assert loaded_state == state
-    for name in params.names():
+    for name in params:
         np.testing.assert_array_equal(loaded_params[name].data, params[name].data)
         np.testing.assert_array_equal(loaded_params[name].m, params[name].m)
         np.testing.assert_array_equal(loaded_params[name].v, params[name].v)
@@ -359,6 +362,19 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     resaved = tmp_path / "again.ckpt"
     checkpoint_save(loaded_params, loaded_state, resaved)
     assert path.read_bytes() == resaved.read_bytes()
+
+
+def test_full_size_save_streams_its_payload(tmp_path):
+    params = build_model(ModelConfig())  # 1,017,345 parameters: a 23.3 MiB payload
+    path = tmp_path / "full.ckpt"
+    tracemalloc.start()
+    try:
+        checkpoint_save(params, TrainState(), path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert path.stat().st_size > 24 * 1_017_345
 
 
 def test_identical_seeds_give_identical_checkpoint_bytes(tmp_path):
@@ -655,7 +671,7 @@ def test_resume_reproduces_uninterrupted_trajectory(tmp_path):
     for got, want in zip(stitched, rows_a):
         assert got[:4] == want[:4]
     assert [r.action for r in rows_b2] == [r.action for r in rows_a[3:]]
-    for name in params_a.names():
+    for name in params_a:
         np.testing.assert_array_equal(resumed_params[name].data, params_a[name].data)
 
 
