@@ -255,37 +255,33 @@ def convgru_forward(params, features, hidden):
     With config.standard_gru_update the first blend term uses ``hidden``
     instead (the classic GRU interpolation).
 
-    hidden=None means the first pass, whose state is all zeros. Each state
-    conv then returns its bias, and r reaches the output only through
-    Un * (r . 0), so only the two input convs for z and n run, each plus its
-    state conv's bias; the state weights and the reset gate's parameters get
-    an exactly zero gradient. With standard_gru_update the output is z . n.
+    hidden=None means the first pass, whose state is all zeros: each state
+    conv returns its bias, and r, which reaches the output only through
+    Un * (r . 0), is not computed. The state weights and the reset gate's
+    parameters get an exactly zero gradient. With standard_gru_update the
+    output is z . n.
     """
-    def conv(name, x):
-        return _conv_block(params, f"conv_rnn.{name}", x, stride=1)
+    if hidden is not None and features.data.shape != hidden.data.shape:
+        raise ShapeError(f"conv_rnn: features {features.data.shape} vs hidden {hidden.data.shape}")
 
-    if hidden is None:
-        def plus_state_bias(name, x, *unreached):
-            zero_grad = [params[f"conv_rnn.{n}"].tensor for n in (f"{name}.weight",) + unreached]
-            return T._add_bias(x, params[f"conv_rnn.{name}.bias"].tensor, zero_grad)
+    def gate(name, reset=None, unreached=()):
+        # W * features + U * state, the state being hidden or reset . hidden
+        fed = _conv_block(params, f"conv_rnn.{name}_in", features, stride=1)
+        if hidden is None:  # U * 0 is U's bias; U's weight and ``unreached`` get zeros
+            zero_grad = [params[f"conv_rnn.{n}"].tensor for n in (f"{name}_state.weight", *unreached)]
+            return T._add_bias(fed, params[f"conv_rnn.{name}_state.bias"].tensor, zero_grad)
+        state = hidden if reset is None else T.mul(reset, hidden)
+        return T.add(fed, _conv_block(params, f"conv_rnn.{name}_state", state, stride=1))
 
-        z = T.sigmoid(plus_state_bias("update_state", conv("update_in", features)))
-        n = T.tanh(plus_state_bias("cand_state", conv("cand_in", features), "reset_in.weight",
-                                   "reset_in.bias", "reset_state.weight", "reset_state.bias"))
-        if params.config.standard_gru_update:
-            return T.mul(z, n)
-        keep = features
-    else:
-        if features.data.shape != hidden.data.shape:
-            raise ShapeError(
-                f"conv_rnn: features {features.data.shape} vs hidden {hidden.data.shape}"
-            )
-        z = T.sigmoid(T.add(conv("update_in", features), conv("update_state", hidden)))
-        r = T.sigmoid(T.add(conv("reset_in", features), conv("reset_state", hidden)))
-        n = T.tanh(T.add(conv("cand_in", features), conv("cand_state", T.mul(r, hidden))))
-        keep = hidden if params.config.standard_gru_update else features
-    one = Tensor(np.ones_like(z.data))
-    return T.add(T.mul(T.sub(one, z), keep), T.mul(z, n))
+    z = T.sigmoid(gate("update"))
+    r = None if hidden is None else T.sigmoid(gate("reset"))
+    n = T.tanh(gate("cand", r, ("reset_in.weight", "reset_in.bias", "reset_state.weight",
+                                "reset_state.bias")))
+    new = T.mul(z, n)
+    keep = hidden if params.config.standard_gru_update else features
+    if keep is None:  # (1 - z) . 0
+        return new
+    return T.add(T.mul(T.sub(Tensor(np.ones_like(z.data)), z), keep), new)
 
 
 def glu_forward(params, x, index):

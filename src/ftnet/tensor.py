@@ -24,7 +24,8 @@ backward sweep hands each large weight gradient (gather, GEMM and
 accumulation) to the worker and goes on, and ``Tensor.backward`` waits for
 every such job before it returns, also when the sweep raises. Jobs wait on
 the leaf they feed and grad mode is per thread, so graphs that share no
-leaf may be built and swept from several threads at once.
+leaf may be built and swept from several threads at once; a sweep into a
+leaf that another sweep holds raises UsageError.
 
 The graph is made of small private nodes, not of tensors. Every op builds
 its result through one helper, ``_op``, handing it the result's data, its
@@ -80,6 +81,7 @@ class _GradMode(threading.local):
 
 
 _grad_mode = _GradMode()
+_leaf_claims = threading.Lock()  # held while a sweep checks and claims its leaves
 
 
 class no_grad:
@@ -115,7 +117,7 @@ class _Node:
     ``backward(g)`` that turns its gradient into theirs, and a gradient slot
     (see ``_accumulate`` for ``owns_grad``). A leaf, a tensor created with
     ``requires_grad``, has neither inputs nor closure; ``jobs`` lists the
-    running sweep's pending worker jobs that add into it (None between sweeps).
+    worker jobs that add into it while a sweep holds it (None between sweeps).
     """
 
     __slots__ = ("parents", "backward", "grad", "owns_grad", "jobs")
@@ -194,8 +196,9 @@ class Tensor:
         node drops its closure, and with it the arrays it kept, and its
         gradient as soon as the sweep has passed it. Before it returns, also
         when the sweep raises, it waits for its leaves' worker jobs and raises
-        a failed one's exception. Two sweeps at once must share no leaf;
-        nothing checks that.
+        a failed one's exception. Two sweeps at once must share no leaf: one
+        that reaches a leaf another sweep holds raises UsageError before it
+        changes any gradient.
         """
         if self.data.size != 1:
             raise UsageError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -204,6 +207,11 @@ class Tensor:
             return
         order = _topo_order(root)
         leaves = [node for node in order if node.backward is None]
+        with _leaf_claims:
+            if any(leaf.jobs is not None for leaf in leaves):
+                raise UsageError("another backward() is sweeping into a leaf of this graph")
+            for leaf in leaves:
+                leaf.jobs = []
         root.grad = np.ones_like(self.data)
         try:
             while order:
@@ -212,7 +220,7 @@ class Tensor:
                     node.backward(node.grad)
                     node.backward, node.parents, node.grad = _consumed, (), None
         finally:
-            errors = [job.exception() for leaf in leaves for job in leaf.jobs or ()]
+            errors = [job.exception() for leaf in leaves for job in leaf.jobs]
             for leaf in leaves:
                 leaf.jobs = None
             for error in errors:
@@ -426,7 +434,6 @@ if hasattr(os, "register_at_fork"):  # a forked child inherits the object but no
 
 def _hand_off(leaf, grad_fn):
     """Add ``grad_fn()`` into ``leaf``'s gradient on the worker, after its earlier jobs."""
-    leaf.jobs = leaf.jobs or []
     leaf.jobs.append(_executor.submit(lambda: _add_grad(leaf, grad_fn())))
 
 
@@ -663,7 +670,7 @@ def conv1d_transpose(x, weight, bias=None, *, stride=1, pad=0, output_pad=0):
 def sigmoid(x):
     """Logistic function, evaluated without overflow on either tail."""
     e = np.exp(-np.abs(x.data))
-    y = np.where(x.data >= 0, 1.0, e) / (1.0 + e)
+    y = np.maximum(e, x.data >= 0) / (1.0 + e)  # e <= 1, so the numerator is 1 where x >= 0
     xn = x._node
     return _op(y, (xn,), lambda g: _accumulate(xn, g * y * (1.0 - y)))
 
@@ -682,18 +689,29 @@ def prelu(x, slopes):
     if slopes.data.shape != (1, channels, 1):
         raise ConfigError(f"prelu slopes shape {slopes.data.shape} does not match (1, {channels}, 1)")
     a, s = x.data, slopes.data
-    y = np.where(a < 0, s * a, a)
+    y = a * _negative_factor(a, s)
     xn, sn = x._node, slopes._node
 
     def backprop(g):
-        negative = a < 0  # recomputed, so the graph keeps no mask beside a
-        if xn is not None:
-            _accumulate(xn, np.where(negative, s, 1.0) * g)
+        if xn is not None:  # the factor is recomputed, so the graph keeps only a
+            _accumulate(xn, _negative_factor(a, s) * g)
         if sn is not None:
-            contrib = np.where(negative, a, 0.0) * g
+            # fmin(a, 0) is a where a < 0, else a zero of either sign (fmin drops
+            # NaN); numpy's sum starts from +0.0, so that sign never reaches it.
+            contrib = np.fmin(a, 0) * g
             _accumulate(sn, contrib.sum(axis=(0, 2), keepdims=True))
 
     return _op(y, (xn, sn), backprop)
+
+
+def _negative_factor(a, s):
+    """``s`` where ``a < 0``, else 1, for finite ``s``, by arithmetic instead of a
+    branch per element: with n = 1 or 0, n * s - (n - 1) is s - 0 or ±0 + 1, exactly."""
+    n = (a < 0).astype(s.dtype)
+    k = n * s
+    n -= 1
+    k -= n
+    return k
 
 
 def _require_same_shape(a, b, op):

@@ -669,6 +669,93 @@ def test_two_threads_sweeping_graphs_that_share_no_leaf_get_the_serial_gradients
         assert mine == [g.tobytes() for g in serial]
 
 
+def test_a_sweep_into_a_leaf_that_another_sweep_holds_raises_before_any_gradient_changes():
+    # Both graphs feed the weight w. The first sweep stops in its first input
+    # gradient until the second thread's sweep has tried w and returned.
+    arrays = [rand(2, 3, 16) for _ in range(3)]
+    weight = rand(4, 3, 3)
+
+    def loss(x, w):
+        return T.tanh(T.conv1d(x, w, pad_left=1, pad_right=1)).sum()
+
+    def serial(*picks):  # w's gradient from sweeping the picked graphs one after another
+        w = T.Tensor(weight, requires_grad=True)
+        for i in picks:
+            loss(T.Tensor(arrays[i], requires_grad=True), w).backward()
+        return w.grad.tobytes()
+
+    w = T.Tensor(weight, requires_grad=True)
+    xs = [T.Tensor(a, requires_grad=True) for a in arrays]
+    first, second = loss(xs[0], w), loss(xs[1], w)
+    held, tried, seen = threading.Event(), threading.Event(), []
+    adjoint = T._correlate_adjoint
+
+    def blocking(*args, **kwargs):
+        if not held.is_set():  # the first sweep's first call only
+            held.set()
+            assert tried.wait(10)
+        return adjoint(*args, **kwargs)
+
+    def sweep_second():
+        assert held.wait(10)
+        try:
+            second.backward()
+            seen.append(None)
+        except UsageError as exc:
+            seen.append(exc)
+        finally:
+            seen.append((w.grad, xs[1].grad, xs[1]._node.jobs))
+            tried.set()
+
+    thread = threading.Thread(target=sweep_second)
+    with mock.patch.object(T, "_correlate_adjoint", blocking):
+        thread.start()
+        first.backward()
+    thread.join(10)
+    assert not thread.is_alive()
+    error, state = seen
+    assert isinstance(error, UsageError) and "another backward()" in str(error)
+    assert state == (None, None, None)  # no gradient changed, and it held no leaf
+    assert w.grad.tobytes() == serial(0)
+    # One after another, the refused graph and a third sweep through w work.
+    second.backward()
+    loss(xs[2], w).backward()
+    assert w.grad.tobytes() == serial(0, 1, 2)
+
+
+def test_threads_racing_to_sweep_into_one_leaf_lose_no_update():
+    # Four threads sweep graphs into one leaf, each retrying a refused sweep.
+    # Integer contributions sum exactly in any order, so a lost or doubled
+    # update would change the total.
+    w = T.Tensor(np.zeros((1, 4, 8)), requires_grad=True)
+    rounds, start = 25, threading.Barrier(4)
+
+    def sweeps(i):
+        for _ in range(rounds):
+            graph = T.mul(w, T.Tensor(np.full((1, 4, 8), i + 1.0))).sum()
+            start.wait(10)  # every round, all four try to claim w at once
+            for _ in range(100_000):  # refused while another thread holds w
+                try:
+                    graph.backward()
+                    break
+                except UsageError:
+                    continue
+
+    threads = [threading.Thread(target=sweeps, args=(i,), daemon=True) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert np.array_equal(w.grad, np.full((1, 4, 8), rounds * (1 + 2 + 3 + 4.0)))
+    assert w._node.jobs is None
+
+
 # ---------------------------------------------------------------------------
 # forward halves on the worker thread
 

@@ -90,3 +90,14 @@ def test_only_the_model_reads_block_frames():
         if names_in(ast.parse(path.read_text(encoding="utf-8")))["block_frames"]
     )
     assert readers == ["model.py"]
+
+
+def test_the_tensor_engine_calls_no_np_where():
+    """``np.where`` branches per element, and random signs mispredict that
+    branch, so the engine's activations select by arithmetic instead."""
+    tree = ast.parse((pathlib.Path(ftnet.__file__).parent / "tensor.py").read_text(encoding="utf-8"))
+    calls = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "where"
+    ]
+    assert calls == []

@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ftnet import tensor as T
 from ftnet.errors import ConfigError, ShapeError, UsageError
@@ -336,6 +338,77 @@ def test_prelu_per_channel_slopes():
 def test_prelu_slope_shape_checked():
     with pytest.raises(ConfigError):
         T.prelu(T.Tensor(np.zeros((1, 3, 4))), T.Tensor(np.zeros((1, 2, 1))))
+
+
+# The activations select without np.where, whose per-element branch is slow
+# on random signs. These are the np.where forms they must match bit for bit.
+
+
+def where_sigmoid(x, g):
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return y, g * y * (1.0 - y)
+
+
+def where_prelu(a, s, g):
+    negative = a < 0
+    y = np.where(negative, s * a, a)
+    dx = np.where(negative, s, 1.0) * g
+    ds = (np.where(negative, a, 0.0) * g).sum(axis=(0, 2), keepdims=True)
+    return y, dx, ds
+
+
+@st.composite
+def activations(draw):
+    """(a, s, g) of one float dtype: activations among which ±0, ±inf, quiet
+    NaNs (numpy makes no other kind) and subnormals, in random or sorted
+    order; finite per-channel slopes of any sign and size; a cotangent."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = np.finfo(dtype).bits
+    tiny = float(np.finfo(dtype).smallest_subnormal)
+    special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny])
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 48)))
+    a = draw(hnp.arrays(dtype, shape, elements=st.one_of(st.floats(width=width, allow_nan=False), special)))
+    if draw(st.booleans()):
+        a = np.sort(a, axis=2)  # signs in runs rather than at random
+    finite = st.floats(width=width, allow_nan=False, allow_infinity=False)
+    s = draw(hnp.arrays(dtype, (1, shape[1], 1), elements=finite))
+    g = draw(hnp.arrays(dtype, shape, elements=st.floats(-4, 4, width=width)))
+    return a, s, g
+
+
+def assert_same_bytes(got, want):
+    assert [(x.dtype, x.tobytes()) for x in got] == [(x.dtype, x.tobytes()) for x in want]
+
+
+def forward_and_gradients(op, arrays, g):
+    """``op``'s output and its inputs' gradients under the cotangent ``g``."""
+    tensors = [T.Tensor(a, requires_grad=True) for a in arrays]
+    with np.errstate(all="ignore"):  # inf - inf and the like, in the loss as in the op
+        out = op(*tensors)
+        T.mul(out, T.Tensor(g)).sum().backward()
+    return [out.data] + [t.grad for t in tensors]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=activations())
+@example(case=(np.full((1, 1, 1), -0.0), np.full((1, 1, 1), 0.5), np.ones((1, 1, 1))))
+@example(case=(np.array([[[-1.0, -0.0, np.nan, 2.0]]], np.float32), np.array([[[-0.0]]], np.float32),
+               np.array([[[1.0, -1.0, 2.0, -3.0]]], np.float32)))
+def test_prelu_matches_its_where_form_bit_for_bit(case):
+    a, s, g = case
+    with np.errstate(all="ignore"):
+        want = where_prelu(a, s, g)
+    assert_same_bytes(forward_and_gradients(T.prelu, (a, s), g), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=activations())
+def test_sigmoid_matches_its_where_form_bit_for_bit(case):
+    a, _, g = case
+    with np.errstate(all="ignore"):
+        want = where_sigmoid(a, g)
+    assert_same_bytes(forward_and_gradients(T.sigmoid, (a,), g), want)
 
 
 # ---------------------------------------------------------------------------
