@@ -144,11 +144,8 @@ def _echo_run(command, config=None, extra=None):
 
 
 def _load_manifest_pairs(args, train, seed):
-    """Shared by mix and train: manifest + noise dir -> list of MixedPair.
-    A clean path is relative to the manifest's directory unless absolute."""
-    base = pathlib.Path(args.manifest).parent
-    manifest = MixManifest([replace(r, clean_path=str(base / r.clean_path))
-                            for r in MixManifest.load(args.manifest)])
+    """Shared by mix and train: manifest + noise dir -> list of MixedPair."""
+    manifest = MixManifest.load(args.manifest)
     bank = NoiseBank.from_dir(args.noise_dir, seed=seed)
     target_len = int(round(train["target_seconds"] * bank.sample_rate))
     if target_len < 1:
@@ -180,8 +177,7 @@ def cmd_synth(args):
     clean_dir.mkdir(parents=True, exist_ok=True)
     noise_dir.mkdir(parents=True, exist_ok=True)
     if args.emit_manifest:
-        manifest_dir = pathlib.Path(args.emit_manifest).parent
-        manifest_dir.mkdir(parents=True, exist_ok=True)
+        pathlib.Path(args.emit_manifest).parent.mkdir(parents=True, exist_ok=True)
     _echo_run("synth", extra={
         "out_dir": str(out), "n_clean": args.n_clean, "n_noise": args.n_noise,
         "clean_seconds": args.clean_seconds, "noise_seconds": args.noise_seconds,
@@ -203,8 +199,7 @@ def cmd_synth(args):
         records = []
         for i, path in enumerate(clean_paths):
             split = "val" if i >= args.n_clean - n_val else "train"
-            rel = os.path.relpath(path, manifest_dir)
-            records.append(MixRecord(rel, float(snrs[i % len(snrs)]), split))
+            records.append(MixRecord(str(path), float(snrs[i % len(snrs)]), split))
         MixManifest(records).save(args.emit_manifest)
         print(f"wrote {args.emit_manifest} ({len(records)} records)")
     print(f"wrote {args.n_clean} clean and {args.n_noise} noise files under {out}")

@@ -12,6 +12,8 @@ pairs come out identical whether records are processed serially or in
 parallel.
 """
 
+import os
+import pathlib
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -30,7 +32,6 @@ __all__ = [
     "MixedPair",
     "mix_at_snr",
     "measure_snr",
-    "draw_cut_point",
     "build_dataset",
     "synth_clean",
     "synth_noise",
@@ -74,8 +75,6 @@ class NoiseBank:
         The bank takes the files' sample rate; files that disagree on it
         raise FormatError.
         """
-        import pathlib
-
         paths = sorted(pathlib.Path(noise_dir).glob("*.wav"))
         if not paths:
             raise UsageError(f"no .wav files under {noise_dir}")
@@ -102,7 +101,9 @@ class MixManifest:
 
     Text form is tab-separated: ``clean_path<TAB>snr_db<TAB>split``, with
     two extra columns (cut_point, crop_start) once resolved. Blank lines
-    and lines starting with # are skipped.
+    and lines starting with # are skipped. In a file, clean paths are
+    relative to the file's directory; in memory, to the working directory.
+    ``load`` and ``save`` convert, so a saved manifest reads back anywhere.
     """
 
     def __init__(self, records):
@@ -157,7 +158,9 @@ class MixManifest:
 
     @classmethod
     def load(cls, path):
-        return cls.parse(_read_text(path))
+        base = pathlib.Path(path).parent
+        records = cls.parse(_read_text(path))
+        return cls(replace(r, clean_path=str(base / r.clean_path)) for r in records)
 
     def dump(self):
         lines = []
@@ -169,8 +172,10 @@ class MixManifest:
         return "\n".join(lines) + "\n"
 
     def save(self, path):
+        base = pathlib.Path(path).parent
+        relative = MixManifest(replace(r, clean_path=os.path.relpath(r.clean_path, base)) for r in self)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dump())
+            fh.write(relative.dump())
 
 
 class MixResult(NamedTuple):
@@ -239,16 +244,6 @@ def measure_snr(reference, test, cap=100.0):
     return float(min(10.0 * np.log10(e_ref / e_res), cap))
 
 
-def draw_cut_point(bank, needed_len, rng):
-    """Uniform noise-segment start over [0, len(bank) - needed_len]."""
-    slack = len(bank) - needed_len
-    if slack < 0:
-        raise UsageError(
-            f"noise bank ({len(bank)} samples) shorter than needed ({needed_len})"
-        )
-    return int(rng.integers(0, slack + 1))
-
-
 def _crop_or_pad_at(clip, start, target_len):
     if clip.size >= target_len:
         return clip[start : start + target_len]
@@ -257,10 +252,19 @@ def _crop_or_pad_at(clip, start, target_len):
     return out
 
 
-def _draw_crop_start(n, target_len, rng):
-    if n <= target_len:
-        return 0
-    return int(rng.integers(0, n - target_len + 1))
+def _offset(rng, carried, size, target_len, label, source):
+    """Start of a target_len window in a size-sample source: the carried
+    offset, checked against [0, max(size - target_len, 0)], or one drawn
+    uniformly over that range. Nothing is drawn when it holds one value."""
+    top = max(size - target_len, 0)
+    if carried is None:
+        return int(rng.integers(0, top + 1)) if top else 0
+    if not 0 <= carried <= top:
+        raise FormatError(
+            f"{label} {carried} outside [0, {top}] "
+            f"for a {size}-sample {source} and a {target_len}-sample target"
+        )
+    return carried
 
 
 @dataclass
@@ -283,7 +287,8 @@ def build_dataset(manifest, bank, seed=None, *, target_len, clean_loader=None):
     earlier draws. Records that already carry offsets use them verbatim;
     the yielded record always has both filled in. A clean clip whose
     sample rate differs from the bank's, or a carried offset outside the
-    range its draw covers, raises FormatError naming the record.
+    range its draw covers, raises FormatError naming the record; a bank
+    shorter than the target raises UsageError, carried cut point or not.
     """
     if seed is None:
         seed = bank.seed
@@ -299,23 +304,11 @@ def build_dataset(manifest, bank, seed=None, *, target_len, clean_loader=None):
         if clip.size == 0:
             raise DegenerateSignalError(f"{record.clean_path}: empty clip")
         named = f"record {idx + 1} ({record.clean_path})"
-        crop = record.crop_start
-        if crop is None:
-            crop = _draw_crop_start(clip.size, target_len, rng)
-        elif not 0 <= crop <= max(clip.size - target_len, 0):
-            raise FormatError(
-                f"{named}: crop_start {crop} outside [0, {max(clip.size - target_len, 0)}] "
-                f"for a {clip.size}-sample clip and a {target_len}-sample target"
-            )
+        crop = _offset(rng, record.crop_start, clip.size, target_len, f"{named}: crop_start", "clip")
         clean = _crop_or_pad_at(clip, crop, target_len)
-        cut = record.cut_point
-        if cut is None:
-            cut = draw_cut_point(bank, target_len, rng)
-        elif not 0 <= cut <= len(bank) - target_len:
-            raise FormatError(
-                f"{named}: cut_point {cut} outside [0, {len(bank) - target_len}] "
-                f"for a {len(bank)}-sample noise bank and a {target_len}-sample target"
-            )
+        if len(bank) < target_len:
+            raise UsageError(f"noise bank ({len(bank)} samples) shorter than needed ({target_len})")
+        cut = _offset(rng, record.cut_point, len(bank), target_len, f"{named}: cut_point", "noise bank")
         noise_seg = bank.samples[cut : cut + target_len]
         result = mix_at_snr(clean, noise_seg, record.snr_db)
         yield MixedPair(

@@ -1,6 +1,7 @@
 """End-to-end command tests driven through cli.main."""
 
 import json
+import pathlib
 import re
 import struct
 import tracemalloc
@@ -104,7 +105,7 @@ def test_synth_manifest_outside_the_corpus_resolves_every_clip(tmp_path, capsys,
         "synth", "--out-dir", "c", "--n-clean", "3", "--n-noise", "1",
         "--clean-seconds", "0.2", "--noise-seconds", "1.0", "--emit-manifest", "nodir/m.tsv",
     ]) == 0
-    paths = [r.clean_path for r in MixManifest.load("nodir/m.tsv")]
+    paths = [line.split("\t")[0] for line in (tmp_path / "nodir" / "m.tsv").read_text().splitlines()]
     assert paths == [f"../c/clean/clean_{i:03d}.wav" for i in range(3)]
     assert cli.main(["mix", "--manifest", "nodir/m.tsv", "--noise-dir", "c/noise",
                      "--out-dir", "pairs", "--target-seconds", "0.1"]) == 0
@@ -124,7 +125,7 @@ def test_a_flag_beats_the_config_file_for_model_and_training_keys(corpus, capsys
     assert {"config:seed=9", "config:target_seconds=0.2"} <= set(from_flags)
 
 
-def test_mix_keeps_an_absolute_clean_path(corpus, capsys):
+def test_mix_writes_an_absolute_clean_path_relative_to_the_resolved_manifest(corpus, capsys):
     clean = (corpus / "corpus" / "clean" / "clean_000.wav").resolve()
     manifest = corpus / "lists" / "absolute.tsv"
     manifest.parent.mkdir()
@@ -133,7 +134,32 @@ def test_mix_keeps_an_absolute_clean_path(corpus, capsys):
     assert cli.main(["mix", "--manifest", str(manifest), "--noise-dir", str(corpus / "corpus" / "noise"),
                      "--out-dir", str(out), "--target-seconds", "0.1"]) == 0
     capsys.readouterr()
-    assert [r.clean_path for r in MixManifest.load(out / "manifest.resolved.tsv")] == [str(clean)]
+    resolved = out / "manifest.resolved.tsv"
+    assert resolved.read_text().startswith("../corpus/clean/clean_000.wav\t0\ttrain\t")
+    (record,) = MixManifest.load(resolved)
+    assert pathlib.Path(record.clean_path).resolve() == clean
+
+
+def test_the_walkthrough_remixes_and_trains_from_the_resolved_manifest(corpus, capsys, monkeypatch):
+    """synth, then mix with relative paths as the README does; the resolved
+    manifest then serves mix and train from this directory and from another."""
+    monkeypatch.chdir(corpus)
+    noise = ["--noise-dir", "corpus/noise", "--target-seconds", "0.1"]
+    assert cli.main(["mix", "--manifest", "manifest.tsv", *noise, "--out-dir", "pairs", "--seed", "7"]) == 0
+    assert cli.main(["mix", "--manifest", "pairs/manifest.resolved.tsv", *noise, "--out-dir", "again"]) == 0
+    (corpus / "elsewhere").mkdir()
+    monkeypatch.chdir(corpus / "elsewhere")
+    assert cli.main(["mix", "--manifest", "../pairs/manifest.resolved.tsv", "--noise-dir", "../corpus/noise",
+                     "--target-seconds", "0.1", "--out-dir", "from_elsewhere"]) == 0
+    assert cli.main(["train", "--manifest", "../pairs/manifest.resolved.tsv", "--noise-dir", "../corpus/noise",
+                     "--config", "../micro.cfg", "--out", "run.ckpt", "--max-epochs", "1"]) == 0
+    capsys.readouterr()
+    pairs = sorted(p.name for p in (corpus / "pairs").glob("pair_*.wav"))
+    assert len(pairs) == 12
+    for copy in (corpus / "again", corpus / "elsewhere" / "from_elsewhere"):
+        assert sorted(p.name for p in copy.glob("pair_*.wav")) == pairs
+        for name in pairs:
+            assert (copy / name).read_bytes() == (corpus / "pairs" / name).read_bytes()
 
 
 def test_sample_rate_is_not_a_setting(corpus, capsys):

@@ -101,3 +101,16 @@ def test_the_tensor_engine_calls_no_np_where():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "where"
     ]
     assert calls == []
+
+
+def test_no_function_imports_in_its_body():
+    """Every ftnet import sits at the top of its module, where a reader finds
+    the module's dependencies and an import cycle shows at once."""
+    src = pathlib.Path(ftnet.__file__).parent
+    nested = [
+        f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftnet import audio, mixer
 from ftnet.errors import DegenerateSignalError, FormatError, UsageError
@@ -124,40 +126,71 @@ def test_measure_snr_rejects_zero_reference():
 
 
 # ---------------------------------------------------------------------------
-# cut points
+# cut points and crop starts: one rule draws or checks both offsets
+
+
+def draw(size, target_len, rng):
+    return mixer._offset(rng, None, size, target_len, "offset", "source")
 
 
 def test_cut_point_single_valid_position():
-    bank = mixer.NoiseBank.from_clips([np.ones(500)])
-    assert mixer.draw_cut_point(bank, 500, np.random.default_rng(0)) == 0
+    rng = np.random.default_rng(0)
+    assert draw(500, 500, rng) == 0
+    assert draw(300, 500, rng) == 0  # a short clip is padded, not cropped
+    assert rng.integers(0, 1 << 30) == np.random.default_rng(0).integers(0, 1 << 30)
 
 
 def test_cut_point_determinism_per_seed():
-    bank = mixer.NoiseBank.from_clips([np.ones(10_000)])
-    a = [mixer.draw_cut_point(bank, 100, np.random.default_rng(5)) for _ in range(1)]
+    a = draw(10_000, 100, np.random.default_rng(5))
     draws1 = np.random.default_rng(5)
     draws2 = np.random.default_rng(5)
-    seq1 = [mixer.draw_cut_point(bank, 100, draws1) for _ in range(50)]
-    seq2 = [mixer.draw_cut_point(bank, 100, draws2) for _ in range(50)]
+    seq1 = [draw(10_000, 100, draws1) for _ in range(50)]
+    seq2 = [draw(10_000, 100, draws2) for _ in range(50)]
     assert seq1 == seq2
-    assert a[0] == seq1[0]
+    assert a == seq1[0]
 
 
 def test_cut_point_rejects_short_bank():
-    bank = mixer.NoiseBank.from_clips([np.ones(99)])
-    with pytest.raises(UsageError):
-        mixer.draw_cut_point(bank, 100, np.random.default_rng(0))
+    # The same UsageError for a fresh record and for one that carries a cut point.
+    bank = mixer.NoiseBank.from_clips([np.ones(100)])
+    loader = lambda path: (np.full(300, 0.2), 16000)
+    for cut, crop in ((None, None), (0, 0)):
+        manifest = mixer.MixManifest([mixer.MixRecord("a.wav", 0.0, "train", cut, crop)])
+        with pytest.raises(UsageError, match=r"noise bank \(100 samples\) shorter than needed \(200\)"):
+            list(mixer.build_dataset(manifest, bank, seed=0, clean_loader=loader, target_len=200))
 
 
 def test_cut_point_uniformity_chi_square():
     # 1e5 draws over the 100 possible offsets; uniformity must not be rejected.
-    bank = mixer.NoiseBank.from_clips([np.ones(199)])
     rng = np.random.default_rng(123)
-    draws = [mixer.draw_cut_point(bank, 100, rng) for _ in range(100_000)]
+    draws = [draw(199, 100, rng) for _ in range(100_000)]
     counts = np.bincount(draws, minlength=100)
     assert counts.size == 100
     _, p = scipy.stats.chisquare(counts)
     assert p > 0.01
+
+
+@settings(max_examples=60, deadline=None)
+@given(clip_len=st.integers(1, 60), bank_len=st.integers(1, 60), target_len=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1), clip_is_target=st.booleans(), bank_is_target=st.booleans())
+def test_build_dataset_offsets_lie_in_range_and_rebuild_the_pairs(
+        clip_len, bank_len, target_len, seed, clip_is_target, bank_is_target):
+    clip_len = target_len if clip_is_target else clip_len
+    bank_len = target_len if bank_is_target else max(bank_len, target_len)
+    rng = np.random.default_rng(seed)
+    clips = {f"c{i}.wav": 0.1 + rng.random(clip_len) for i in range(2)}
+    bank = mixer.NoiseBank.from_clips([0.1 + rng.random(bank_len)])
+    manifest = mixer.MixManifest(mixer.MixRecord(name, 0.0, "train") for name in clips)
+    loader = synthetic_loader(clips)
+    first = list(mixer.build_dataset(manifest, bank, seed=seed, clean_loader=loader, target_len=target_len))
+    for pair in first:
+        assert 0 <= pair.record.crop_start <= max(clip_len - target_len, 0)
+        assert 0 <= pair.record.cut_point <= bank_len - target_len
+    resolved = mixer.MixManifest(p.record for p in first)
+    again = mixer.build_dataset(resolved, bank, seed=seed + 1, clean_loader=loader, target_len=target_len)
+    for a, b in zip(first, again, strict=True):
+        assert a.record == b.record
+        assert a.noisy.tobytes() == b.noisy.tobytes() and a.clean.tobytes() == b.clean.tobytes()
 
 
 # ---------------------------------------------------------------------------
