@@ -24,13 +24,14 @@ over the target, so a crash mid-save leaves the previous checkpoint whole.
 """
 
 import json
+import math
 import os
 import struct
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .model import ModelConfig, build_model
+from .model import ModelConfig, build_model, layer_table
 from .training import TrainState
 
 __all__ = ["MAGIC", "VERSION", "checkpoint_save", "checkpoint_load"]
@@ -120,24 +121,32 @@ def checkpoint_load(path):
             f"{path}: payload is {len(raw) - start} bytes, header promises {payload_bytes}"
         )
 
-    # Values and moments go straight from the file's bytes into the fresh
-    # model's arrays: no second copy of the payload.
-    params = build_model(config)
-    if [name for name, _, _ in index] != list(params):
+    # The index must be the config's layout before anything is allocated: a
+    # header's sizes alone could ask for any amount of memory.
+    layout = [entry for row in layer_table(config) for entry in row.shapes]
+    if [name for name, _, _ in index] != [name for name, _ in layout]:
         raise FormatError(f"{path}: parameter index does not match the config's layout")
+    end = 0
+    for (name, shape, _), (_, expected) in zip(index, layout):
+        if shape != expected:
+            raise FormatError(f"{path}: {name} stored as {shape}, expected {expected}")
+        end += 3 * 8 * math.prod(shape)
+        if end > payload_bytes:
+            raise FormatError(f"{path}: truncated payload at {name}")
+    if end != payload_bytes:
+        raise FormatError(f"{path}: {payload_bytes - end} trailing payload bytes")
+
+    # Values and moments go straight from the file's bytes into the fresh
+    # model's arrays: no second copy of the payload. The model's random values
+    # are drawn only to be overwritten, because perfbench/spans.py attributes
+    # each conv to its layer by the tensors that build_model returns.
+    params = build_model(config)
     offset = start
     for name, shape, steps in index:
         p = params[name]
-        if shape != p.tensor.shape:
-            raise FormatError(f"{path}: {name} stored as {shape}, expected {p.tensor.shape}")
-        count = int(np.prod(shape))
-        span = count * 8
-        if offset + 3 * span > len(raw):
-            raise FormatError(f"{path}: truncated payload at {name}")
+        count = math.prod(shape)
         for target in (p.tensor.data, p.m, p.v):
             target[...] = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
-            offset += span
+            offset += 8 * count
         p.step_count = steps
-    if offset != len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset} trailing payload bytes")
     return params, state

@@ -141,6 +141,8 @@ class MixManifest:
             cols = line.split("\t")
             if len(cols) not in (3, 5):
                 raise FormatError(f"line {lineno}: expected 3 or 5 tab-separated columns")
+            if "\0" in cols[0]:  # no file can be opened by such a name
+                raise FormatError(f"line {lineno}: clean path {cols[0]!r} holds a NUL byte")
             try:
                 snr = float(cols[1])
             except ValueError:

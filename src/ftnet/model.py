@@ -7,8 +7,10 @@ residual blocks works at the bottleneck, and a skip-connected transposed
 decoder restores the waveform. The whole stage is applied Q times with
 shared weights; the estimate and the GRU state loop back between passes.
 
-All convolutions along the way are arranged so every stage consumes and
-produces frames of exactly ``config.frame_len`` samples.
+``layer_table(config)`` is the one source of conv geometry: one row per
+conv, in parameter draw order, read by ``build_model``, every forward pass,
+the analyzers and the checkpoint loader. Its rows are arranged so every
+stage consumes and produces frames of exactly ``config.frame_len`` samples.
 """
 
 from collections import OrderedDict
@@ -24,8 +26,10 @@ from .tensor import Parameter, Tensor
 __all__ = [
     "ModelConfig",
     "FTNetParams",
+    "LayerRow",
     "ShapeRow",
     "StructureReport",
+    "layer_table",
     "build_model",
     "convgru_forward",
     "glu_forward",
@@ -100,7 +104,8 @@ class ModelConfig:
         the clip or minibatch. Enhance runs in float32, so its copies are
         half that size.
         """
-        per_frame = 8 * self.encoder_channels[0] * self.kernel * (self.frame_len // 2)
+        gru = next(row for row in layer_table(self) if row.name.startswith("conv_rnn."))
+        per_frame = 8 * gru.in_channels * gru.kernel_size * gru.in_length
         return max(1, (3 << 20) // per_frame)
 
     def to_dict(self):
@@ -117,11 +122,12 @@ class ModelConfig:
 
 
 class FTNetParams(dict):
-    """Named parameters in creation order plus the config that shaped them."""
+    """Named parameters in creation order, the config that shaped them and its rows by name."""
 
     def __init__(self, config, params):
         super().__init__(params)
         self.config = config
+        self.layers = {row.name: row for row in layer_table(config)}
 
     def __missing__(self, name):
         raise ConfigError(f"no parameter named {name!r}")
@@ -153,15 +159,65 @@ class StructureReport:
 # construction
 
 
-def _decoder_plan(config):
-    """(in_channels, out_channels) per transposed layer, first to last."""
-    c = config.encoder_channels
-    plan = []
+class LayerRow(NamedTuple):
+    """One conv of a stage; lengths are per frame. A transposed conv's output
+    is cropped by ``pad_left`` at the start and ``pad_right - output_pad`` at the end.
+    ``shapes`` holds (name, shape) of its weight, bias and PReLU slopes, in draw order."""
+
+    name: str
+    transposed: bool
+    in_channels: int
+    out_channels: int
+    kernel_size: int
+    stride: int
+    dilation: int
+    pad_left: int
+    pad_right: int
+    output_pad: int
+    prelu: bool
+    in_length: int
+    out_length: int
+    shapes: tuple
+
+
+def layer_table(config):
+    """Every conv of one stage as a ``LayerRow``, in parameter draw order.
+
+    Each row's input length is the previous row's output length. A stride-1
+    conv keeps it, padding ``m*d`` on each side (``m`` half its kernel); a
+    stride-2 conv halves it, padding ``(m, m - 1)``; a transposed conv doubles it.
+    """
+    k, c, bn = config.kernel, config.encoder_channels, config.glu_bottleneck
+    rows = []
+
+    def add(name, in_ch, out_ch, prelu, kernel=k, stride=1, dilation=1, transposed=False):
+        length, m = rows[-1].out_length if rows else config.frame_len, kernel // 2
+        if transposed:
+            pads, output_pad, out_length = (m, m), 1, length * stride
+        else:
+            pads = (m * dilation, m * dilation) if stride == 1 else (m, m - 1)
+            output_pad, out_length = 0, length // stride
+        weight = (in_ch, out_ch, kernel) if transposed else (out_ch, in_ch, kernel)
+        shapes = [(f"{name}.weight", weight), (f"{name}.bias", (1, out_ch, 1))]
+        if prelu:
+            shapes.append((f"{name}.prelu", (1, out_ch, 1)))
+        rows.append(LayerRow(name, transposed, in_ch, out_ch, kernel, stride, dilation, *pads,
+                             output_pad, prelu, length, out_length, tuple(shapes)))
+
+    add("conv1d_1", 2, c[0], True, stride=2)
+    for gate in ("update_in", "update_state", "reset_in", "reset_state", "cand_in", "cand_state"):
+        add(f"conv_rnn.{gate}", c[0], c[0], False)
+    for i in range(1, len(c)):
+        add(f"conv1d_{i + 1}", c[i - 1], c[i], True, stride=1 if i == 1 else 2)
+    for j, d in enumerate(config.glu_dilations, start=1):
+        add(f"glu_{j}.in_conv", c[-1], bn, True, kernel=1)
+        add(f"glu_{j}.main_conv", bn, bn, False, dilation=d)
+        add(f"glu_{j}.gate_conv", bn, bn, False, dilation=d)
+        add(f"glu_{j}.out_conv", bn, c[-1], False, kernel=1)
     for j in range(1, len(c)):
-        in_ch = 2 * c[len(c) - j]
-        out_ch = c[len(c) - j - 1] if j < len(c) - 1 else 1
-        plan.append((in_ch, out_ch))
-    return plan
+        last = j == len(c) - 1
+        add(f"deconv1d_{j}", 2 * c[-j], 1 if last else c[-j - 1], not last, stride=2, transposed=True)
+    return tuple(rows)
 
 
 def build_model(config):
@@ -172,41 +228,13 @@ def build_model(config):
     before bias) so one seed always yields bitwise-identical values.
     """
     rng = np.random.default_rng(config.seed)
-    k = config.kernel
-    c = config.encoder_channels
     params = OrderedDict()
-
-    def draw(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    def add_conv(prefix, in_ch, out_ch, kernel, with_prelu, transposed=False):
-        fan = in_ch * kernel
-        # Transposed layout: (C_in, C_out, K).
-        shape = (in_ch, out_ch, kernel) if transposed else (out_ch, in_ch, kernel)
-        params[f"{prefix}.weight"] = Parameter(f"{prefix}.weight", draw(shape, fan))
-        params[f"{prefix}.bias"] = Parameter(f"{prefix}.bias", draw((1, out_ch, 1), fan))
-        if with_prelu:
-            params[f"{prefix}.prelu"] = Parameter(f"{prefix}.prelu", np.full((1, out_ch, 1), 0.25))
-
-    add_conv("conv1d_1", 2, c[0], k, with_prelu=True)
-    for gate in ("update_in", "update_state", "reset_in", "reset_state", "cand_in", "cand_state"):
-        add_conv(f"conv_rnn.{gate}", c[0], c[0], k, with_prelu=False)
-    for i in range(1, len(c)):
-        add_conv(f"conv1d_{i + 1}", c[i - 1], c[i], k, with_prelu=True)
-
-    bn = config.glu_bottleneck
-    wide = c[-1]
-    for j in range(1, len(config.glu_dilations) + 1):
-        add_conv(f"glu_{j}.in_conv", wide, bn, 1, with_prelu=True)
-        add_conv(f"glu_{j}.main_conv", bn, bn, k, with_prelu=False)
-        add_conv(f"glu_{j}.gate_conv", bn, bn, k, with_prelu=False)
-        add_conv(f"glu_{j}.out_conv", bn, wide, 1, with_prelu=False)
-
-    plan = _decoder_plan(config)
-    for j, (in_ch, out_ch) in enumerate(plan, start=1):
-        add_conv(f"deconv1d_{j}", in_ch, out_ch, k, with_prelu=j < len(plan), transposed=True)
-
+    for row in layer_table(config):
+        bound = 1.0 / np.sqrt(row.in_channels * row.kernel_size)
+        for name, shape in row.shapes:
+            values = (np.full(shape, 0.25) if name.endswith(".prelu")
+                      else rng.uniform(-bound, bound, size=shape))
+            params[name] = Parameter(name, values)
     return FTNetParams(config, params)
 
 
@@ -214,30 +242,22 @@ def build_model(config):
 # forward passes
 
 
-def _trace(trace, name, before, after):
-    if trace is not None:
-        trace.append(
-            ShapeRow(name, before.shape[1], before.shape[2], after.shape[1], after.shape[2])
-        )
-
-
-def _layer(params, name, conv, x, **geometry):
-    """Named layer: ``conv`` with its weight and bias, then its PReLU if it has one."""
+def _layer(params, name, x):
+    """Named conv with its row's geometry, weight and bias, then its PReLU if it has one."""
+    weight, bias = params[f"{name}.weight"].tensor, params[f"{name}.bias"].tensor
+    row = params.layers[name]
     try:
-        out = conv(x, params[f"{name}.weight"].tensor, params[f"{name}.bias"].tensor, **geometry)
+        if row.transposed:
+            out = T.conv1d_transpose(x, weight, bias, stride=row.stride, pad=row.pad_left,
+                                     output_pad=row.output_pad)
+        else:
+            out = T.conv1d(x, weight, bias, stride=row.stride, dilation=row.dilation,
+                           pad_left=row.pad_left, pad_right=row.pad_right)
     except ShapeError as exc:
         raise ShapeError(f"{name}: {exc}") from None
-    if f"{name}.prelu" in params:
+    if row.prelu:
         out = T.prelu(out, params[f"{name}.prelu"].tensor)
     return out
-
-
-def _conv_block(params, name, x, *, stride, dilation=1):
-    """Named conv1d layer with the length-preserving/halving pad plan."""
-    m = params[f"{name}.weight"].data.shape[2] // 2
-    left, right = (m * dilation, m * dilation) if stride == 1 else (m, m - 1)
-    return _layer(params, name, T.conv1d, x, stride=stride, dilation=dilation,
-                  pad_left=left, pad_right=right)
 
 
 def convgru_forward(params, features, hidden):
@@ -266,12 +286,12 @@ def convgru_forward(params, features, hidden):
 
     def gate(name, reset=None, unreached=()):
         # W * features + U * state, the state being hidden or reset . hidden
-        fed = _conv_block(params, f"conv_rnn.{name}_in", features, stride=1)
+        fed = _layer(params, f"conv_rnn.{name}_in", features)
         if hidden is None:  # U * 0 is U's bias; U's weight and ``unreached`` get zeros
             zero_grad = [params[f"conv_rnn.{n}"].tensor for n in (f"{name}_state.weight", *unreached)]
             return T._add_bias(fed, params[f"conv_rnn.{name}_state.bias"].tensor, zero_grad)
         state = hidden if reset is None else T.mul(reset, hidden)
-        return T.add(fed, _conv_block(params, f"conv_rnn.{name}_state", state, stride=1))
+        return T.add(fed, _layer(params, f"conv_rnn.{name}_state", state))
 
     z = T.sigmoid(gate("update"))
     r = None if hidden is None else T.sigmoid(gate("reset"))
@@ -291,19 +311,15 @@ def glu_forward(params, x, index):
     produce a linear path and a sigmoid gate, their product is widened back
     by a 1x1 conv and added to the input.
     """
-    dilations = params.config.glu_dilations
-    if not 1 <= index <= len(dilations):
-        raise ConfigError(f"glu index {index} outside 1..{len(dilations)}")
-    d = dilations[index - 1]
     pre = f"glu_{index}"
-    h = _conv_block(params, f"{pre}.in_conv", x, stride=1)
-    main = _conv_block(params, f"{pre}.main_conv", h, stride=1, dilation=d)
-    gate = T.sigmoid(_conv_block(params, f"{pre}.gate_conv", h, stride=1, dilation=d))
-    widened = _conv_block(params, f"{pre}.out_conv", T.mul(main, gate), stride=1)
+    h = _layer(params, f"{pre}.in_conv", x)
+    main = _layer(params, f"{pre}.main_conv", h)
+    gate = T.sigmoid(_layer(params, f"{pre}.gate_conv", h))
+    widened = _layer(params, f"{pre}.out_conv", T.mul(main, gate))
     return T.add(x, widened)
 
 
-def stage_forward(params, x, estimate, hidden, trace=None):
+def stage_forward(params, x, estimate, hidden):
     """One full pass: returns (new estimate, new hidden map) for input frames x.
 
     x and estimate are (B, 1, frame_len): the noisy frames and the previous
@@ -314,41 +330,22 @@ def stage_forward(params, x, estimate, hidden, trace=None):
     GRU; the new hidden map is both the encoder's input and the next pass's
     state.
     """
-    config = params.config
-    if x.data.shape[1] != 1 or x.data.shape[2] != config.frame_len:
-        raise ShapeError(
-            f"expected (B, 1, {config.frame_len}) input frames, got {x.data.shape}"
-        )
+    frame_len = params.config.frame_len
+    if x.data.shape[1] != 1 or x.data.shape[2] != frame_len:
+        raise ShapeError(f"expected (B, 1, {frame_len}) input frames, got {x.data.shape}")
     if x.data.shape != estimate.data.shape:
         raise ShapeError(f"input {x.data.shape} vs fed-back estimate {estimate.data.shape}")
-    stacked = T.concat_channels(x, estimate)
-    feats = _conv_block(params, "conv1d_1", stacked, stride=2)
-    _trace(trace, "conv1d_1", stacked, feats)
+    feats = _layer(params, "conv1d_1", T.concat_channels(x, estimate))
     hidden = convgru_forward(params, feats, hidden)
-    _trace(trace, "conv_rnn", feats, hidden)
 
-    c = config.encoder_channels
-    skips = []
-    feat = hidden
-    for i in range(2, len(c) + 1):
-        stride = 1 if i == 2 else 2
-        out = _conv_block(params, f"conv1d_{i}", feat, stride=stride)
-        _trace(trace, f"conv1d_{i}", feat, out)
-        skips.append(out)
-        feat = out
-
-    for j in range(1, len(config.glu_dilations) + 1):
-        out = glu_forward(params, feat, j)
-        _trace(trace, f"glu_{j}", feat, out)
-        feat = out
-
+    feat, skips = hidden, []
+    for name in [name for name in params.layers if name.startswith("conv1d_")][1:]:
+        feat = _layer(params, name, feat)
+        skips.append(feat)
+    for j in range(1, sum(name.endswith(".in_conv") for name in params.layers) + 1):
+        feat = glu_forward(params, feat, j)
     for j, skip in enumerate(reversed(skips), start=1):
-        joined = T.concat_channels(feat, skip)
-        _trace(trace, f"skip_{j}", feat, joined)
-        deconv = _layer(params, f"deconv1d_{j}", T.conv1d_transpose, joined,
-                        stride=2, pad=config.kernel // 2, output_pad=1)
-        _trace(trace, f"deconv1d_{j}", joined, deconv)
-        feat = deconv
+        feat = _layer(params, f"deconv1d_{j}", T.concat_channels(feat, skip))
     return feat, hidden
 
 
@@ -388,20 +385,21 @@ def forward_blocks(params, frames, dtype=np.float64):
 
 
 def trace_shapes(params):
-    """Layer-by-layer (name, in/out channels and lengths) for one stage."""
-    config = params.config
-    x = Tensor(np.zeros((1, 1, config.frame_len)))
-    trace = []
-    with T.no_grad():
-        stage_forward(params, x, x, None, trace=trace)
-    return tuple(trace)
-
-
-def _rollup_key(name):
-    head, _, rest = name.partition(".")
-    if rest.endswith("prelu"):
-        return f"{head}.prelu"
-    return head
+    """Layer-by-layer (name, in/out channels and lengths) for one stage, from
+    its ``layer_table`` rows: a layer spans its convs, from the first's input
+    to the last's output, and a skip join precedes each transposed conv."""
+    layers = OrderedDict()
+    for row in params.layers.values():
+        layers.setdefault(row.name.partition(".")[0], []).append(row)
+    shapes = []
+    for name, rows in layers.items():
+        first, last = rows[0], rows[-1]
+        if first.transposed:
+            shapes.append(ShapeRow(f"skip_{name.partition('_')[2]}", shapes[-1].out_channels,
+                                   shapes[-1].out_length, first.in_channels, first.in_length))
+        shapes.append(ShapeRow(name, first.in_channels, first.in_length, last.out_channels,
+                               last.out_length))
+    return tuple(shapes)
 
 
 def count_parameters(params):
@@ -413,7 +411,8 @@ def count_parameters(params):
     """
     by_layer = OrderedDict()
     for name, p in params.items():
-        key = _rollup_key(name)
+        head = name.partition(".")[0]
+        key = f"{head}.prelu" if name.endswith(".prelu") else head
         by_layer[key] = by_layer.get(key, 0) + p.data.size
     return by_layer, sum(by_layer.values())
 
@@ -427,11 +426,11 @@ def analyze_structure(config):
     unfolded_depth multiplies by the number of passes. The receptive field
     is that of the dilated stack at bottleneck resolution.
     """
-    n_enc = len(config.encoder_channels)
-    n_glu = len(config.glu_dilations)
-    depth = 2 + (n_enc - 1) + 3 * n_glu + (n_enc - 1)
-    rf = 1 + (config.kernel - 1) * sum(config.glu_dilations)
     params = build_model(config)
+    serial = [row for name, row in params.layers.items()
+              if not name.startswith("conv_rnn.") and not name.endswith(".gate_conv")]
+    depth = 1 + len(serial)
+    rf = 1 + sum(row.dilation * (row.kernel_size - 1) for row in serial if row.name.startswith("glu_"))
     by_layer, total = count_parameters(params)
     return StructureReport(
         depth_per_stage=depth,

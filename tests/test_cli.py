@@ -401,6 +401,16 @@ def test_a_non_finite_manifest_snr_exits_format_code(corpus, capsys, command, sn
     assert not out.exists() and not log.exists()
 
 
+def test_a_nul_in_a_manifest_clean_path_exits_format_code(corpus, capsys):
+    manifest = corpus / "bad.tsv"
+    manifest.write_text("clean\0.wav\t0\ttrain\n")
+    out = corpus / "out"
+    assert cli.main(["mix", "--manifest", str(manifest), "--noise-dir",
+                     str(corpus / "corpus" / "noise"), "--out-dir", str(out)]) == 5
+    assert "error: line 1: clean path 'clean\\x00.wav' holds a NUL byte" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, command", [
     ("micro.cfg", lambda corpus: cli.main(["analyze", "--config", str(corpus / "micro.cfg")])),
     ("manifest.tsv", lambda corpus: cli.main([

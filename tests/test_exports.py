@@ -92,6 +92,24 @@ def test_only_the_model_reads_block_frames():
     assert readers == ["model.py"]
 
 
+def test_only_the_config_and_the_layer_table_read_conv_settings():
+    """``model.layer_table`` is the one source of conv geometry, so outside
+    ``ModelConfig`` and ``layer_table`` no ftnet code reads the settings that
+    shape the convs."""
+    src = pathlib.Path(ftnet.__file__).parent
+    settings = {"kernel", "encoder_channels", "glu_dilations", "glu_bottleneck"}
+    readers = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = [stmt for stmt in tree.body if isinstance(stmt, (ast.ClassDef, ast.FunctionDef))
+                  and stmt.name in ("ModelConfig", "layer_table")]
+        exempt = {id(node) for owner in owners for node in ast.walk(owner)}
+        readers += [f"{path.name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr in settings
+                    and id(node) not in exempt]
+    assert readers == []
+
+
 def test_the_tensor_engine_calls_no_np_where():
     """``np.where`` branches per element, and random signs mispredict that
     branch, so the engine's activations select by arithmetic instead."""

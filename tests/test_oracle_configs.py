@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftnet import tensor as T
-from ftnet.model import ModelConfig, build_model, forward_blocks, multistage_forward
+from ftnet.model import (ModelConfig, build_model, forward_blocks, layer_table,
+                         multistage_forward, stage_forward)
 from ftnet.training import TrainState, train_epoch
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -125,3 +126,37 @@ def test_one_training_epoch_in_blocks_matches_the_oracle_trainer(config, data):
     np.testing.assert_array_equal(initial, ref_initial)
     assert abs(loss - ref_loss) <= gate.LOSS_RTOL * abs(ref_loss)
     assert relative_l2(flat(params.values()) - initial, ref_update) <= gate.UPDATE_RTOL
+
+
+@settings(max_examples=20)
+@given(config=configs())
+def test_every_layer_table_row_is_the_geometry_the_forward_runs(config):
+    """A spy on both convs, keyed by weight identity, sees each row's kind,
+    geometry and input and output shapes on every call. A pass with no GRU
+    state and one with a state together call every row's conv."""
+    params = build_model(config)
+    rows = {id(params[f"{row.name}.weight"].tensor): row for row in layer_table(config)}
+    seen = {}
+
+    def spy(conv, transposed):
+        def call(x, weight, bias, **geometry):
+            out = conv(x, weight, bias, **geometry)
+            seen.setdefault(id(weight), []).append((transposed, geometry, x.shape[1:], out.shape[1:]))
+            return out
+        return call
+
+    x = T.Tensor(np.zeros((1, 1, config.frame_len)))
+    with mock.patch.object(T, "conv1d", spy(T.conv1d, False)), \
+            mock.patch.object(T, "conv1d_transpose", spy(T.conv1d_transpose, True)), T.no_grad():
+        _, hidden = stage_forward(params, x, x, None)
+        stage_forward(params, x, x, hidden)
+
+    assert set(seen) == set(rows)
+    for key, calls in seen.items():
+        row = rows[key]
+        geometry = (dict(stride=row.stride, pad=row.pad_left, output_pad=row.output_pad)
+                    if row.transposed else
+                    dict(stride=row.stride, dilation=row.dilation, pad_left=row.pad_left,
+                         pad_right=row.pad_right))
+        shapes = (row.in_channels, row.in_length), (row.out_channels, row.out_length)
+        assert calls == [(row.transposed, geometry, *shapes)] * len(calls), row.name

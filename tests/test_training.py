@@ -4,7 +4,12 @@ import errno
 import itertools
 import json
 import math
+import os
+import pathlib
+import resource
 import struct
+import subprocess
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -14,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftnet import checkpoint, mixer, tensor, training
-from ftnet.audio import frame_signal
+from ftnet.audio import frame_signal, write_wav
 from ftnet.checkpoint import checkpoint_load, checkpoint_save
 from ftnet.errors import DegenerateSignalError, FormatError, UsageError
 from ftnet.model import ModelConfig, build_model, multistage_forward
@@ -484,6 +489,31 @@ def test_checkpoint_rejects_a_malformed_index_entry(tmp_path, edit_header):
     rewrite_container(path, edit_header)
     with pytest.raises(FormatError, match="malformed header"):
         checkpoint_load(path)
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
+@pytest.mark.parametrize("kernel", [2**31 - 1, 9], ids=["huge", "three-times"])
+def test_enhance_rejects_a_header_kernel_before_it_allocates(tmp_path, kernel):
+    """A header config whose kernel the index does not hold exits 5 in a
+    child limited to 1 GiB of address space. Drawing the huge kernel's
+    model before the check would ask for 64 GiB."""
+    path = tmp_path / "bad.ckpt"
+    checkpoint_save(build_model(micro_config()), TrainState(), path)
+    rewrite_container(path, lambda h: h["config"].update(kernel=kernel))
+    write_wav(tmp_path / "in.wav", np.full(200, 0.1))
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    limit = 1 << 30
+    run = subprocess.run(
+        [sys.executable, "-m", "ftnet.cli", "enhance", "--checkpoint", str(path),
+         "--in", str(tmp_path / "in.wav"), "--out", str(tmp_path / "out.wav")],
+        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 5, run.stderr
+    assert "error:" in run.stderr and "stored as" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert not (tmp_path / "out.wav").exists()
 
 
 @pytest.mark.parametrize("epoch", [-1, 0, 2], ids=["negative", "behind", "ahead"])
