@@ -6,15 +6,30 @@ hop, zero-padding the tail; overlap-add averages the overlapping windows
 back into a clip of the original length.
 """
 
+import math
 import wave
 
 import numpy as np
 
-from .errors import DegenerateSignalError, FormatError, UsageError
+from .errors import ConfigError, DegenerateSignalError, FormatError, UsageError
 
-__all__ = ["OverlapAdd", "read_wav", "write_wav", "frame_signal", "overlap_add"]
+__all__ = ["OverlapAdd", "read_wav", "write_wav", "require_rate", "samples", "frame_signal",
+           "overlap_add"]
 
 PCM_SCALE = 32768
+
+
+def require_rate(path, rate, want, whose):
+    """Reject ``path``'s sample rate unless it is ``want`` (or ``want`` is None, unknown)."""
+    if want is not None and rate != want:
+        raise FormatError(f"{path}: sample rate {rate} Hz, but {whose} is {want} Hz")
+
+
+def samples(seconds, rate, name):
+    """``seconds`` at ``rate`` Hz in whole samples; under one raises ConfigError naming ``name``."""
+    if not math.isfinite(seconds * rate) or round(seconds * rate) < 1:
+        raise ConfigError(f"{name} {seconds} is under one sample at {rate} Hz")
+    return int(round(seconds * rate))
 
 
 def read_wav(path):

@@ -17,7 +17,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .audio import OverlapAdd, frame_signal, read_wav, write_wav
+from .audio import OverlapAdd, frame_signal, read_wav, require_rate, samples, write_wav
 from .checkpoint import checkpoint_load, checkpoint_save
 from .errors import (
     ConfigError,
@@ -147,12 +147,7 @@ def _load_manifest_pairs(args, train, seed):
     """Shared by mix and train: manifest + noise dir -> list of MixedPair."""
     manifest = MixManifest.load(args.manifest)
     bank = NoiseBank.from_dir(args.noise_dir, seed=seed)
-    target_len = int(round(train["target_seconds"] * bank.sample_rate))
-    if target_len < 1:
-        raise ConfigError(
-            f"target_seconds {train['target_seconds']} is under one sample at "
-            f"{bank.sample_rate} Hz"
-        )
+    target_len = samples(train["target_seconds"], bank.sample_rate, "target_seconds")
     return list(build_dataset(manifest, bank, seed=seed, target_len=target_len))
 
 
@@ -169,9 +164,7 @@ def cmd_synth(args):
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
     for key in ("clean_seconds", "noise_seconds"):
-        samples = getattr(args, key) * args.sample_rate
-        if not (math.isfinite(samples) and round(samples) >= 1):
-            raise ConfigError(f"{key} {getattr(args, key)} is under one sample at {args.sample_rate} Hz")
+        samples(getattr(args, key), args.sample_rate, key)
     out = pathlib.Path(args.out_dir)
     clean_dir, noise_dir = out / "clean", out / "noise"
     clean_dir.mkdir(parents=True, exist_ok=True)
@@ -289,8 +282,8 @@ def cmd_train(args):
     if not args.resume:
         params = build_model(config)
         state = TrainState(lr=train["lr"], rng_state=config.seed, sample_rate=rate)
-    elif state.sample_rate not in (None, rate):
-        raise FormatError(f"{args.out} was trained at {state.sample_rate} Hz, the corpus is {rate} Hz")
+    require_rate(train_pairs[0].record.clean_path, rate, state.sample_rate,
+                 f"{args.out}'s training audio")
 
     log_fh = _open_log(args.log, state.epoch if args.resume else None) if args.log else None
     try:
@@ -338,11 +331,7 @@ def cmd_enhance(args):
         "dump_stages": args.dump_stages or "", "dump_hidden": args.dump_hidden or "",
     })
     clip, rate = read_wav(args.infile)
-    if state.sample_rate is not None and rate != state.sample_rate:
-        raise FormatError(
-            f"{args.infile}: {rate} Hz input, but the checkpoint was trained at "
-            f"{state.sample_rate} Hz"
-        )
+    require_rate(args.infile, rate, state.sample_rate, f"{args.checkpoint}'s training audio")
     frames = frame_signal(clip, config.frame_len, config.hop)
     for p in params.values():
         p.tensor.data = p.tensor.data.astype(np.float32)
@@ -351,7 +340,7 @@ def cmd_enhance(args):
         hidden_dir = pathlib.Path(args.dump_hidden)
         hidden_dir.mkdir(parents=True, exist_ok=True)
     with T.no_grad():
-        for lo, _, estimates, hiddens in forward_blocks(params, frames, np.float32):
+        for lo, _, estimates, hiddens in forward_blocks(params, frames):
             total.add(lo, *(t.data for t in estimates))
             for q, maps in enumerate(hiddens if args.dump_hidden else [], start=1):
                 for i, values in enumerate(maps.data, start=lo):
@@ -397,8 +386,7 @@ def cmd_analyze(args):
 
 def _read_at_rate(path, rate):
     clip, got = read_wav(path)
-    if got != rate:
-        raise FormatError(f"{path}: {got} Hz clip, but the clean reference is {rate} Hz")
+    require_rate(path, got, rate, "the clean reference")
     return clip
 
 

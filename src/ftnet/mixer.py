@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .audio import read_wav
+from .audio import read_wav, require_rate, samples
 from .errors import DegenerateSignalError, FormatError, UsageError, _read_text
 
 __all__ = [
@@ -79,9 +79,8 @@ class NoiseBank:
         if not paths:
             raise UsageError(f"no .wav files under {noise_dir}")
         clips, rates = zip(*(read_wav(p) for p in paths))
-        if len(set(rates)) > 1:
-            found = ", ".join(f"{p.name} {r} Hz" for p, r in zip(paths, rates))
-            raise FormatError(f"noise files under {noise_dir} differ in sample rate: {found}")
+        for path, rate in zip(paths, rates):
+            require_rate(path, rate, rates[0], f"noise file {paths[0]}")
         return cls.from_clips(clips, seed, rates[0])
 
 
@@ -298,10 +297,7 @@ def build_dataset(manifest, bank, seed=None, *, target_len, clean_loader=None):
     for idx, record in enumerate(manifest):
         rng = np.random.default_rng((seed, idx))
         clip, rate = load(record.clean_path)
-        if rate != bank.sample_rate:
-            raise FormatError(
-                f"{record.clean_path}: {rate} Hz clip, but the noise is {bank.sample_rate} Hz"
-            )
+        require_rate(record.clean_path, rate, bank.sample_rate, "the noise")
         clip = np.asarray(clip, dtype=np.float64)
         if clip.size == 0:
             raise DegenerateSignalError(f"{record.clean_path}: empty clip")
@@ -329,7 +325,7 @@ def build_dataset(manifest, bank, seed=None, *, target_len, clean_loader=None):
 
 def synth_clean(duration_s, rng, sample_rate=16000):
     """Speech-like test tone: a few wandering harmonics under a slow envelope."""
-    n = int(round(duration_s * sample_rate))
+    n = samples(duration_s, sample_rate, "duration_s")
     t = np.arange(n) / sample_rate
     f0 = rng.uniform(100.0, 250.0)
     drift = 1.0 + 0.05 * np.sin(2 * np.pi * rng.uniform(0.3, 1.0) * t + rng.uniform(0, 2 * np.pi))
@@ -344,7 +340,7 @@ def synth_clean(duration_s, rng, sample_rate=16000):
 
 def synth_noise(duration_s, rng, sample_rate=16000):
     """Colored broadband noise via a one-pole lowpass over white samples."""
-    n = int(round(duration_s * sample_rate))
+    n = samples(duration_s, sample_rate, "duration_s")
     white = rng.standard_normal(n)
     a = rng.uniform(0.8, 0.95)
     colored = np.empty(n)

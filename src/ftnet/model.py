@@ -13,6 +13,7 @@ the analyzers and the checkpoint loader. Its rows are arranged so every
 stage consumes and produces frames of exactly ``config.frame_len`` samples.
 """
 
+import math
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
@@ -40,6 +41,11 @@ __all__ = [
     "count_parameters",
     "analyze_structure",
 ]
+
+# Bound on ``stages`` times the largest array one frame's stage needs (a
+# conv's padded input, its im2col columns or a weight): 128 MiB of float64,
+# so a config read from a file cannot ask for any amount of memory.
+MAX_FRAME_VALUES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,14 @@ class ModelConfig:
             raise ConfigError(f"stages must be >= 1, got {self.stages}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        largest = max(max(row.in_channels * (row.in_length + row.pad_left + row.pad_right),
+                          row.kernel_size * (row.out_channels * row.in_length if row.transposed
+                                             else row.in_channels * row.out_length),
+                          *(math.prod(shape) for _, shape in row.shapes))
+                      for row in layer_table(self))
+        if self.stages * largest > MAX_FRAME_VALUES:
+            raise ConfigError(f"one frame's largest array holds {largest} values; {self.stages} "
+                              f"stages of it exceed the bound of {MAX_FRAME_VALUES}")
 
     @property
     def block_frames(self):
@@ -368,14 +382,14 @@ def multistage_forward(params, x):
     return estimate, estimates, hiddens
 
 
-def forward_blocks(params, frames, dtype=np.float64):
+def forward_blocks(params, frames):
     """Run ``multistage_forward`` on each ``block_frames`` block of ``frames``.
 
     frames is (n, 1, frame_len) of any dtype; each block, not the whole
-    array, is copied as ``dtype``. Yields (first frame, final, estimates,
-    hiddens) per block, in frame order.
+    array, is copied in the weights' dtype. Yields (first frame, final,
+    estimates, hiddens) per block, in frame order.
     """
-    size = params.config.block_frames
+    size, dtype = params.config.block_frames, next(iter(params.values())).data.dtype
     for lo in range(0, len(frames), size):
         yield lo, *multistage_forward(params, Tensor(frames[lo : lo + size].astype(dtype)))
 

@@ -214,6 +214,11 @@ def validate(params, val_pairs):
     return _require_finite(float(np.mean(losses)), "validation loss")
 
 
+def _stopped(state, max_epochs):
+    """The stop rule: STOP_AFTER increase events in total, or max_epochs epochs."""
+    return state.total_increase_events >= STOP_AFTER or state.epoch >= max_epochs
+
+
 def schedule_update(state, new_val_loss, *, max_epochs=MAX_EPOCHS):
     """Record an epoch's validation loss; returns continue | halve_lr | stop.
 
@@ -231,7 +236,7 @@ def schedule_update(state, new_val_loss, *, max_epochs=MAX_EPOCHS):
     if new_val_loss > previous and state.consec_increase == 0:  # this increase completed a streak
         state.lr *= 0.5
         action = "halve_lr"
-    if state.total_increase_events >= STOP_AFTER or state.epoch >= max_epochs:
+    if _stopped(state, max_epochs):
         action = "stop"
     return action
 
@@ -248,7 +253,7 @@ def fit(params, state, train_pairs, val_pairs, *, max_epochs=MAX_EPOCHS, batch_s
     train_pairs = list(train_pairs)
     val_pairs = list(val_pairs)
     rows = []
-    while state.epoch < max_epochs and state.total_increase_events < STOP_AFTER:
+    while not _stopped(state, max_epochs):
         train_mae = train_epoch(params, state, train_pairs, batch_size=batch_size)
         val_mae = validate(params, val_pairs)
         lr_used = state.lr

@@ -861,7 +861,7 @@ def test_desk_scale_training_and_enhance_run_every_forward_kernel_on_the_calling
         for p in params.values():
             p.tensor.data = p.tensor.data.astype(np.float32)
         with T.no_grad():
-            list(forward_blocks(params, frames, np.float32))
+            list(forward_blocks(params, frames))
     assert calls and calls == [(True, False)] * len(calls)
 
 

@@ -699,8 +699,8 @@ BLOCKY32 = cast_weights(BLOCKY, np.float32)
 def test_enhance_frames_keep_the_dtype_they_are_given(n_frames, dtype):
     params = BLOCKY32 if dtype is np.float32 else BLOCKY
     frames = 0.1 * np.random.default_rng(n_frames).standard_normal((n_frames, 1, 2048))
-    with T.no_grad():  # float64 frames, each block cast to ``dtype``
-        arrays = [t.data for _, final, est, hid in forward_blocks(params, frames, dtype)
+    with T.no_grad():  # float64 frames, each block cast to the weights' dtype
+        arrays = [t.data for _, final, est, hid in forward_blocks(params, frames)
                   for t in [final] + est + hid]
     assert [a.dtype for a in arrays] == [np.dtype(dtype)] * len(arrays)
     assert sum(a.shape[0] for a in arrays) == 5 * n_frames

@@ -132,3 +132,24 @@ def test_no_function_imports_in_its_body():
         for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert nested == []
+
+
+def test_only_audio_words_the_clip_rules():
+    """``audio.require_rate`` and ``audio.samples`` are the one sample-rate
+    check and the one seconds-to-samples rule, so outside ``audio.py`` no
+    ftnet ``FormatError`` message names a rate in Hz, and no code says
+    "under one sample"."""
+    src = pathlib.Path(ftnet.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "audio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and "under one sample" in str(node.value):
+                found.append(f"{path.name}:{node.lineno} under one sample")
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "FormatError"
+                    and any(isinstance(part, ast.Constant) and "Hz" in str(part.value)
+                            for arg in node.exc.args for part in ast.walk(arg))):
+                found.append(f"{path.name}:{node.lineno} FormatError in Hz")
+    assert found == []

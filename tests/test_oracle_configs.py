@@ -95,7 +95,7 @@ def test_float32_enhance_stays_within_one_pcm_step_of_the_oracle(config, batch, 
     for p in params.values():
         p.tensor.data = p.tensor.data.astype(np.float32)
     with T.no_grad():
-        blocks = [[t.data for t in est] for _, _, est, _ in forward_blocks(params, noisy, np.float32)]
+        blocks = [[t.data for t in est] for _, _, est, _ in forward_blocks(params, noisy)]
     per_stage = [np.concatenate(arrays) for arrays in zip(*blocks)]
     _, ref_stages = oracle.multistage(oracle.init_params(config.to_dict()), config.to_dict(), noisy)
     assert len(per_stage) == len(ref_stages) == config.stages

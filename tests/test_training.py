@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from ftnet import checkpoint, mixer, tensor, training
 from ftnet.audio import frame_signal, write_wav
 from ftnet.checkpoint import checkpoint_load, checkpoint_save
+from ftnet.cli import TRAIN_DEFAULTS
 from ftnet.errors import DegenerateSignalError, FormatError, UsageError
 from ftnet.model import ModelConfig, build_model, multistage_forward
 from ftnet.tensor import Tensor, mae_loss
@@ -491,29 +492,120 @@ def test_checkpoint_rejects_a_malformed_index_entry(tmp_path, edit_header):
         checkpoint_load(path)
 
 
-@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
-@pytest.mark.parametrize("kernel", [2**31 - 1, 9], ids=["huge", "three-times"])
-def test_enhance_rejects_a_header_kernel_before_it_allocates(tmp_path, kernel):
-    """A header config whose kernel the index does not hold exits 5 in a
-    child limited to 1 GiB of address space. Drawing the huge kernel's
-    model before the check would ask for 64 GiB."""
-    path = tmp_path / "bad.ckpt"
-    checkpoint_save(build_model(micro_config()), TrainState(), path)
-    rewrite_container(path, lambda h: h["config"].update(kernel=kernel))
-    write_wav(tmp_path / "in.wav", np.full(200, 0.1))
+def run_under_limit(args, limit=1 << 30):
+    """``python args`` with ftnet importable, in a child limited to ``limit``
+    bytes of address space, so a missed size check fails and not the host."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    limit = 1 << 30
-    run = subprocess.run(
-        [sys.executable, "-m", "ftnet.cli", "enhance", "--checkpoint", str(path),
-         "--in", str(tmp_path / "in.wav"), "--out", str(tmp_path / "out.wav")],
+    return subprocess.run(
+        [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         capture_output=True, text=True, timeout=120,
     )
+
+
+def config_lines(settings):
+    """``key = value`` lines of a --config file holding ``settings``."""
+    text = {k: ",".join(map(str, v)) if isinstance(v, (list, tuple)) else v for k, v in settings.items()}
+    return "".join(f"{key} = {value}\n" for key, value in text.items())
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
+@pytest.mark.parametrize("key, value, header_error, file_code", [
+    ("kernel", 2**31 - 1, "exceed the bound", 2),
+    ("kernel", 9, "stored as", 0),
+    ("frame_len", 2**40, "exceed the bound", 2),
+    ("glu_dilations", [2**62, 2], "exceed the bound", 2),
+], ids=["huge", "three-times", "frame-len", "dilations"])
+def test_enhance_rejects_a_header_kernel_before_it_allocates(tmp_path, key, value, header_error,
+                                                            file_code):
+    """A header config whose sizes the index does not hold, or whose largest
+    per-frame array is over the bound, exits 5 in a child limited to 1 GiB of
+    address space; the same setting in a --config file exits 2 where it is
+    over the bound. Unchecked, the huge kernel's model asked for 64 GiB, the
+    frame_len for 8 TiB, and the dilation overran numpy's dimension limit."""
+    path = tmp_path / "bad.ckpt"
+    checkpoint_save(build_model(micro_config()), TrainState(), path)
+    rewrite_container(path, lambda h: h["config"].update({key: value}))
+    write_wav(tmp_path / "in.wav", np.full(200, 0.1))
+    run = run_under_limit(["-m", "ftnet.cli", "enhance", "--checkpoint", str(path),
+                           "--in", str(tmp_path / "in.wav"), "--out", str(tmp_path / "out.wav")])
     assert run.returncode == 5, run.stderr
-    assert "error:" in run.stderr and "stored as" in run.stderr
+    assert "error:" in run.stderr and header_error in run.stderr
     assert "Traceback" not in run.stderr
     assert not (tmp_path / "out.wav").exists()
+    config = tmp_path / "sizes.cfg"
+    config.write_text(config_lines({**micro_config().to_dict(), key: value}))
+    run = run_under_limit(["-m", "ftnet.cli", "analyze", "--config", str(config)])
+    assert run.returncode == file_code, run.stderr
+    assert "Traceback" not in run.stderr
+    if file_code:
+        assert "error:" in run.stderr and "exceed the bound" in run.stderr
+
+
+MUTATION_PROBE = """
+import contextlib, io, json, pathlib, struct, sys
+from hypothesis import given, settings, strategies as st
+from ftnet import cli
+
+ckpt, config, wav, work = map(pathlib.Path, sys.argv[1:])
+raw = ckpt.read_bytes()
+(header_len,) = struct.unpack("<Q", raw[8:16])
+header, payload = json.loads(raw[16 : 16 + header_len]), raw[16 + header_len :]
+lines = dict(line.split(" = ") for line in config.read_text().splitlines())
+GONE = "<removed>"
+EXTREMES = [0, -1, 2**31 - 1, 2**62]
+values = st.one_of(
+    st.sampled_from(EXTREMES), st.just(GONE), st.lists(st.sampled_from(EXTREMES + [2]), max_size=3),
+    st.booleans(), st.none(), st.floats(), st.text("ab1.,#= -", max_size=4),
+    st.dictionaries(st.text("ab", max_size=1), st.sampled_from(EXTREMES), max_size=1),
+)
+
+def as_text(value):
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return "" if value is None else str(value).lower() if isinstance(value, bool) else str(value)
+
+def run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4, 5, 6, 7), (code, err.getvalue())
+    assert code == 0 or "error:" in err.getvalue(), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(header_edits=st.dictionaries(st.sampled_from(sorted(header["config"])), values,
+                                    min_size=1, max_size=3),
+       line_edits=st.dictionaries(st.sampled_from(sorted(lines)), values, min_size=1, max_size=3))
+def mutated_inputs_exit_with_a_code(header_edits, line_edits):
+    edited = {**header, "config": {k: v for k, v in {**header["config"], **header_edits}.items()
+                                   if v != GONE}}
+    blob = json.dumps(edited).encode()
+    (work / "m.ckpt").write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + payload)
+    run(["enhance", "--checkpoint", str(work / "m.ckpt"), "--in", str(wav),
+         "--out", str(work / "out.wav")])
+    text = {k: as_text(v) for k, v in {**lines, **line_edits}.items() if v != GONE}
+    (work / "m.cfg").write_text("".join(f"{k} = {v}\\n" for k, v in text.items()))
+    run(["analyze", "--config", str(work / "m.cfg")])
+
+mutated_inputs_exit_with_a_code()
+"""
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
+def test_mutated_header_configs_and_config_files_exit_with_their_codes(tmp_path):
+    """Hypothesis edits up to three checkpoint header config values, and up to
+    three lines of a --config file, to other JSON types, 0, -1, 2^31-1, 2^62
+    or nothing (the key removed). ``enhance`` and ``analyze`` must then exit 0
+    or 2-7 with ``error:`` and no traceback. Every case runs in one child
+    limited to 1 GiB of address space, so a missed size check fails the test."""
+    checkpoint_save(build_model(micro_config()), TrainState(sample_rate=16000), tmp_path / "c.ckpt")
+    (tmp_path / "c.cfg").write_text(config_lines({**micro_config().to_dict(), **TRAIN_DEFAULTS}))
+    write_wav(tmp_path / "in.wav", np.full(200, 0.1))
+    run = run_under_limit(["-c", MUTATION_PROBE, str(tmp_path / "c.ckpt"), str(tmp_path / "c.cfg"),
+                           str(tmp_path / "in.wav"), str(tmp_path)])
+    assert run.returncode == 0, run.stderr[-4000:]
 
 
 @pytest.mark.parametrize("epoch", [-1, 0, 2], ids=["negative", "behind", "ahead"])
