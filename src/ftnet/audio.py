@@ -7,6 +7,7 @@ back into a clip of the original length.
 """
 
 import math
+import os
 import wave
 
 import numpy as np
@@ -17,6 +18,8 @@ __all__ = ["OverlapAdd", "read_wav", "write_wav", "require_rate", "samples", "fr
            "overlap_add"]
 
 PCM_SCALE = 32768
+# The most samples a 16-bit WAV holds: its data chunk counts bytes in 32 bits.
+MAX_WAV_SAMPLES = (1 << 31) - 1
 
 
 def require_rate(path, rate, want, whose):
@@ -26,27 +29,32 @@ def require_rate(path, rate, want, whose):
 
 
 def samples(seconds, rate, name):
-    """``seconds`` at ``rate`` Hz in whole samples; under one raises ConfigError naming ``name``."""
-    if not math.isfinite(seconds * rate) or round(seconds * rate) < 1:
+    """``seconds`` at ``rate`` Hz in whole samples; under one, or more than a
+    16-bit WAV holds, raises ConfigError naming ``name``."""
+    n = int(round(seconds * rate)) if math.isfinite(seconds * rate) else 0
+    if n < 1:
         raise ConfigError(f"{name} {seconds} is under one sample at {rate} Hz")
-    return int(round(seconds * rate))
+    if n > MAX_WAV_SAMPLES:
+        raise ConfigError(f"{name} {seconds} is {n} samples at {rate} Hz, more than a 16-bit WAV "
+                          f"holds ({MAX_WAV_SAMPLES})")
+    return n
 
 
 def read_wav(path):
-    """Load a mono 16-bit PCM WAV; returns (float64 samples in [-1, 1), rate)."""
+    """Load a mono 16-bit PCM WAV; returns (float64 samples in [-1, 1), rate).
+
+    No more is read than the file holds, whatever its header promises.
+    """
     try:
         with wave.open(str(path), "rb") as wav:
-            channels = wav.getnchannels()
-            width = wav.getsampwidth()
-            rate = wav.getframerate()
-            n = wav.getnframes()
-            raw = wav.readframes(n)
-    except (wave.Error, EOFError) as exc:
-        raise FormatError(f"{path}: not a readable PCM WAV ({exc})") from None
-    if channels != 1:
-        raise FormatError(f"{path}: expected mono, got {channels} channels")
-    if width != 2:
-        raise FormatError(f"{path}: expected 16-bit samples, got {8 * width}-bit")
+            channels, width, rate, n = wav.getparams()[:4]
+            if channels != 1:
+                raise FormatError(f"{path}: expected mono, got {channels} channels")
+            if width != 2:
+                raise FormatError(f"{path}: expected 16-bit samples, got {8 * width}-bit")
+            raw = wav.readframes(min(n, os.path.getsize(path) // 2))
+    except (wave.Error, EOFError, RuntimeError) as exc:  # wave's RuntimeError: a chunk overruns its parent
+        raise FormatError(f"{path}: not a readable PCM WAV ({exc or type(exc).__name__})") from None
     if len(raw) != 2 * n:
         raise FormatError(f"{path}: data chunk holds {len(raw)} bytes, header promises {n} samples")
     ints = np.frombuffer(raw, dtype="<i2")

@@ -136,17 +136,15 @@ def checkpoint_load(path):
     if end != payload_bytes:
         raise FormatError(f"{path}: {payload_bytes - end} trailing payload bytes")
 
-    # Values and moments go straight from the file's bytes into the fresh
-    # model's arrays: no second copy of the payload. The model's random values
-    # are drawn only to be overwritten, because perfbench/spans.py attributes
-    # each conv to its layer by the tensors that build_model returns.
-    params = build_model(config)
-    offset = start
-    for name, shape, steps in index:
-        p = params[name]
-        count = math.prod(shape)
-        for target in (p.tensor.data, p.m, p.v):
-            target[...] = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
-            offset += 8 * count
-        p.step_count = steps
+    # Each entry's values and two Adam moments, viewed in the file's bytes.
+    # Copies of the values pass through build_model, which then draws
+    # nothing; the moments fill its zeroed arrays in place. So the payload
+    # is held about twice at peak.
+    payload, stored = np.frombuffer(raw, "<f8", offset=start), []
+    for _, shape, _ in index:
+        stored.append(payload[: 3 * math.prod(shape)].reshape(3, *shape))
+        payload = payload[3 * math.prod(shape) :]
+    params = build_model(config, (values.astype(np.float64) for values, _, _ in stored))
+    for p, (_, m, v), (_, _, steps) in zip(params.values(), stored, index):
+        p.m[...], p.v[...], p.step_count = m, v, steps
     return params, state

@@ -289,8 +289,11 @@ def build_dataset(manifest, bank, seed=None, *, target_len, clean_loader=None):
     the yielded record always has both filled in. A clean clip whose
     sample rate differs from the bank's, or a carried offset outside the
     range its draw covers, raises FormatError naming the record; a bank
-    shorter than the target raises UsageError, carried cut point or not.
+    shorter than the target raises UsageError before any clip is read,
+    unless the manifest is empty.
     """
+    if len(manifest) and len(bank) < target_len:
+        raise UsageError(f"noise bank ({len(bank)} samples) shorter than needed ({target_len})")
     if seed is None:
         seed = bank.seed
     load = clean_loader if clean_loader is not None else read_wav
@@ -304,8 +307,6 @@ def build_dataset(manifest, bank, seed=None, *, target_len, clean_loader=None):
         named = f"record {idx + 1} ({record.clean_path})"
         crop = _offset(rng, record.crop_start, clip.size, target_len, f"{named}: crop_start", "clip")
         clean = _crop_or_pad_at(clip, crop, target_len)
-        if len(bank) < target_len:
-            raise UsageError(f"noise bank ({len(bank)} samples) shorter than needed ({target_len})")
         cut = _offset(rng, record.cut_point, len(bank), target_len, f"{named}: cut_point", "noise bank")
         noise_seg = bank.samples[cut : cut + target_len]
         result = mix_at_snr(clean, noise_seg, record.snr_db)

@@ -46,6 +46,9 @@ __all__ = [
 # conv's padded input, its im2col columns or a weight): 128 MiB of float64,
 # so a config read from a file cannot ask for any amount of memory.
 MAX_FRAME_VALUES = 1 << 24
+# Bound on the number of gated blocks, checked before the layer table is
+# built from them: a file's list of dilations cannot be of any length.
+MAX_GLU_BLOCKS = 1024
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,9 @@ class ModelConfig:
             raise ConfigError(f"hop {self.hop} must lie in [1, frame_len]")
         if not self.glu_dilations or any(d <= 0 for d in self.glu_dilations):
             raise ConfigError(f"glu_dilations must be positive, got {self.glu_dilations}")
+        if len(self.glu_dilations) > MAX_GLU_BLOCKS:
+            raise ConfigError(f"{len(self.glu_dilations)} gated blocks exceed the bound of "
+                              f"{MAX_GLU_BLOCKS}")
         if self.glu_bottleneck <= 0:
             raise ConfigError(f"glu_bottleneck must be positive, got {self.glu_bottleneck}")
         if self.stages < 1:
@@ -234,22 +240,22 @@ def layer_table(config):
     return tuple(rows)
 
 
-def build_model(config):
-    """Create all parameters with seeded fan-in-scaled uniform values.
+def build_model(config, values=None):
+    """Create all parameters, in ``layer_table`` order (weight, bias, slopes).
 
-    Weights and biases draw from U(-b, b) with b = 1/sqrt(in_ch * kernel);
-    PReLU slopes start at 0.25. Draw order is fixed (table order, weight
-    before bias) so one seed always yields bitwise-identical values.
+    Given ``values``, arrays in that order (a checkpoint's), the parameters
+    take them and nothing is drawn. Without it, weights and biases draw from
+    U(-b, b) with b = 1/sqrt(in_ch * kernel) and PReLU slopes start at 0.25,
+    in that fixed order, so one seed always yields bitwise-identical values.
     """
-    rng = np.random.default_rng(config.seed)
-    params = OrderedDict()
-    for row in layer_table(config):
-        bound = 1.0 / np.sqrt(row.in_channels * row.kernel_size)
-        for name, shape in row.shapes:
-            values = (np.full(shape, 0.25) if name.endswith(".prelu")
-                      else rng.uniform(-bound, bound, size=shape))
-            params[name] = Parameter(name, values)
-    return FTNetParams(config, params)
+    entries = [(name, shape, 1.0 / np.sqrt(row.in_channels * row.kernel_size))
+               for row in layer_table(config) for name, shape in row.shapes]
+    if values is None:
+        rng = np.random.default_rng(config.seed)
+        values = (np.full(shape, 0.25) if name.endswith(".prelu") else rng.uniform(-b, b, size=shape)
+                  for name, shape, b in entries)
+    return FTNetParams(config, {name: Parameter(name, v)
+                                for (name, _, _), v in zip(entries, values, strict=True)})
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +404,16 @@ def forward_blocks(params, frames):
 # analysis
 
 
-def trace_shapes(params):
+def trace_shapes(rows):
     """Layer-by-layer (name, in/out channels and lengths) for one stage, from
     its ``layer_table`` rows: a layer spans its convs, from the first's input
     to the last's output, and a skip join precedes each transposed conv."""
     layers = OrderedDict()
-    for row in params.layers.values():
+    for row in rows:
         layers.setdefault(row.name.partition(".")[0], []).append(row)
     shapes = []
-    for name, rows in layers.items():
-        first, last = rows[0], rows[-1]
+    for name, convs in layers.items():
+        first, last = convs[0], convs[-1]
         if first.transposed:
             shapes.append(ShapeRow(f"skip_{name.partition('_')[2]}", shapes[-1].out_channels,
                                    shapes[-1].out_length, first.in_channels, first.in_length))
@@ -416,23 +422,23 @@ def trace_shapes(params):
     return tuple(shapes)
 
 
-def count_parameters(params):
-    """(by_layer, total): element counts rolled up to table rows.
+def count_parameters(rows):
+    """(by_layer, total): the element counts of ``layer_table`` rows' parameters.
 
     Weights and biases land under the layer name (GRU gates pooled under
     conv_rnn, each gated block under its glu_<j>); slope vectors land under
     <layer>.prelu so the conv rows match the usual weight+bias bookkeeping.
     """
     by_layer = OrderedDict()
-    for name, p in params.items():
+    for name, shape in (entry for row in rows for entry in row.shapes):
         head = name.partition(".")[0]
         key = f"{head}.prelu" if name.endswith(".prelu") else head
-        by_layer[key] = by_layer.get(key, 0) + p.data.size
+        by_layer[key] = by_layer.get(key, 0) + math.prod(shape)
     return by_layer, sum(by_layer.values())
 
 
 def analyze_structure(config):
-    """Build the model and report depth, receptive field, sizes, shapes.
+    """Depth, receptive field, sizes and shapes from the layer table alone.
 
     depth_per_stage counts serial trainable conv layers on the input-to-
     output path (the GRU counts once; a gated block contributes its in,
@@ -440,17 +446,17 @@ def analyze_structure(config):
     unfolded_depth multiplies by the number of passes. The receptive field
     is that of the dilated stack at bottleneck resolution.
     """
-    params = build_model(config)
-    serial = [row for name, row in params.layers.items()
-              if not name.startswith("conv_rnn.") and not name.endswith(".gate_conv")]
+    rows = layer_table(config)
+    serial = [row for row in rows
+              if not row.name.startswith("conv_rnn.") and not row.name.endswith(".gate_conv")]
     depth = 1 + len(serial)
     rf = 1 + sum(row.dilation * (row.kernel_size - 1) for row in serial if row.name.startswith("glu_"))
-    by_layer, total = count_parameters(params)
+    by_layer, total = count_parameters(rows)
     return StructureReport(
         depth_per_stage=depth,
         unfolded_depth=depth * config.stages,
         glu_receptive_field=rf,
         parameter_total=total,
         parameters_by_layer=by_layer,
-        shape_table=trace_shapes(params),
+        shape_table=trace_shapes(rows),
     )

@@ -141,7 +141,7 @@ def test_criterion_01_parameter_count(capsys):
 
 def test_criterion_02_shape_trace(capsys):
     start = time.perf_counter()
-    rows = {r.name: tuple(r)[1:] for r in M.trace_shapes(build_model(ModelConfig()))}
+    rows = {r.name: tuple(r)[1:] for r in M.trace_shapes(M.layer_table(ModelConfig()))}
     elapsed = time.perf_counter() - start
     expect = {
         "conv1d_1": (2, 2048, 16, 1024),

@@ -9,7 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftnet import audio
+from ftnet.checkpoint import checkpoint_save
 from ftnet.errors import DegenerateSignalError, FormatError, UsageError
+from ftnet.model import ModelConfig, build_model
+from ftnet.training import TrainState
+from limited_run import needs_limit, run_probe
 
 RNG = np.random.default_rng(99)
 
@@ -135,6 +139,50 @@ def test_data_chunk_shorter_than_its_header_rejected(tmp_path, cut_bytes):
 def test_write_rejects_matrix_input(tmp_path):
     with pytest.raises(UsageError):
         audio.write_wav(tmp_path / "x.wav", np.zeros((2, 3)))
+
+
+WAV_PROBE = """
+good, ckpt, work = ARGS
+raw = good.read_bytes()
+# Each header field of a 44-byte PCM WAV: its byte offset and struct format.
+FIELDS = {"riff_size": (4, "<I"), "fmt_size": (16, "<I"), "format": (20, "<H"),
+          "channels": (22, "<H"), "rate": (24, "<I"), "byte_rate": (28, "<I"),
+          "block_align": (32, "<H"), "bits": (34, "<H"), "data_size": (40, "<I")}
+values = st.one_of(st.sampled_from([0, 1, 2, 3, 8, 16, 24, 44, 400, 16000, 2**16 - 1, 2**31 - 1,
+                                    2**32 - 1]), st.integers(0, 2**32 - 1))
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(edits=st.dictionaries(st.sampled_from(sorted(FIELDS)), values, max_size=3),
+       cut=st.one_of(st.none(), st.integers(0, len(raw) - 1)))
+@example(edits={"riff_size": 2**32 - 1, "data_size": 2**32 - 1}, cut=None)
+def mutated_wavs_exit_with_a_code(edits, cut):
+    mutated = bytearray(raw[:cut])
+    for field, value in edits.items():
+        at, fmt = FIELDS[field]
+        if at + struct.calcsize(fmt) <= len(mutated):
+            struct.pack_into(fmt, mutated, at, value % 256 ** struct.calcsize(fmt))
+    (work / "m.wav").write_bytes(mutated)
+    run(["metrics", "--clean", str(work / "m.wav"), "--test", str(good)])
+    run(["enhance", "--checkpoint", str(ckpt), "--in", str(work / "m.wav"),
+         "--out", str(work / "out.wav")])
+
+mutated_wavs_exit_with_a_code()
+"""
+
+
+@needs_limit
+def test_mutated_wav_headers_and_truncated_wavs_exit_with_their_codes(tmp_path):
+    """Hypothesis sets up to three fields of a WAV header (chunk sizes,
+    format, channels, rate, byte rate, block align, bits) to extremes or any
+    32-bit value, and may cut the file anywhere. ``metrics`` and ``enhance``
+    must then exit 0 or 2-7 with ``error:`` and no traceback, every case in
+    one child limited to 1 GiB of address space. Before reads were bounded by
+    the file's size, a data and RIFF size of 2^32-1 asked for 4 GiB."""
+    config = ModelConfig(frame_len=64, hop=32, kernel=3, encoder_channels=(2, 2, 4),
+                         glu_dilations=(1,), glu_bottleneck=2, stages=2)
+    checkpoint_save(build_model(config), TrainState(sample_rate=16000), tmp_path / "c.ckpt")
+    audio.write_wav(tmp_path / "good.wav", RNG.uniform(-0.5, 0.5, 200))
+    run_probe(WAV_PROBE, tmp_path / "good.wav", tmp_path / "c.ckpt", tmp_path)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from ftnet.checkpoint import checkpoint_load, checkpoint_save
 from ftnet.mixer import MixManifest
 from ftnet.model import ModelConfig, build_model, forward_blocks, multistage_forward
 from ftnet.training import TrainState
+from limited_run import needs_limit, run_under_limit
 
 MICRO_CONFIG = """\
 # desk-scale network
@@ -831,6 +832,26 @@ def test_metrics_rejects_a_clip_at_another_rate_than_clean(tmp_path, capsys, fla
     captured = capsys.readouterr()
     assert "8000 Hz" in captured.err
     assert "snr_db=" not in captured.out
+
+
+@needs_limit
+@pytest.mark.parametrize("argv, code, message", [
+    (["synth", "--out-dir", "{tmp}/out", "--clean-seconds", "1e9"], 2,
+     "clean_seconds 1000000000.0 is 16000000000000 samples at 16000 Hz, more than a 16-bit WAV"),
+    (["mix", "--manifest", "{tmp}/manifest.tsv", "--noise-dir", "{tmp}/corpus/noise",
+      "--out-dir", "{tmp}/out", "--target-seconds", "1e4"], 4,
+     "noise bank (8000 samples) shorter than needed (160000000)"),
+], ids=["synth-clean-seconds", "mix-target-seconds"])
+def test_a_length_too_large_exits_with_its_code_in_a_limited_child(tmp_path, argv, code, message):
+    """Unchecked, synth asked for 116 TiB, and mix padded the clean clip to
+    10^4 s (1.19 GiB) before it compared the target with the 0.5 s bank."""
+    assert cli.main(["synth", "--out-dir", str(tmp_path / "corpus"), "--n-clean", "1",
+                     "--n-noise", "1", "--noise-seconds", "0.5",
+                     "--emit-manifest", str(tmp_path / "manifest.tsv")]) == 0
+    run = run_under_limit(["-m", "ftnet.cli", *(arg.format(tmp=tmp_path) for arg in argv)])
+    assert run.returncode == code, run.stderr
+    assert f"error: {message}" in run.stderr and "Traceback" not in run.stderr
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

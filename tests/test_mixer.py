@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ftnet import audio, mixer
 from ftnet.errors import DegenerateSignalError, FormatError, UsageError
+from limited_run import needs_limit, run_probe
 
 RNG = np.random.default_rng(31337)
 
@@ -386,6 +387,55 @@ def test_build_dataset_missing_file_raises_oserror_with_path():
     manifest = mixer.MixManifest([mixer.MixRecord("/no/such/file.wav", 0.0, "train")])
     with pytest.raises(OSError, match="file.wav"):
         list(mixer.build_dataset(manifest, bank, seed=0, target_len=64_000))
+
+
+MANIFEST_PROBE = """
+manifest, noise, work = ARGS
+rows = [line.split("\\t") for line in manifest.read_text().splitlines()]
+texts = st.text("ab1.-/e#\\x00 ", max_size=5)
+CELLS = [  # per column: clean path, SNR, split, cut_point, crop_start
+    st.one_of(texts, st.sampled_from(["", ".", "..", "missing.wav", "noise", manifest.name,
+                                      "a" * 300, "a\\x00.wav", rows[1][0]])),
+    st.one_of(texts, st.sampled_from(["nan", "-inf", "1e400", "1e308", "-5", "10", "11", "-2",
+                                      "0.5", " 3 ", "0x1", "\\u0663"])),
+    st.one_of(texts, st.sampled_from(["train", "val", "test", "TRAIN", " val"])),
+    *[st.one_of(texts, st.sampled_from(["-1", "0", "1", str(2**31 - 1), str(2**62), str(10**30),
+                                        "1_000", "1e3", " 7"]))] * 2,
+]
+cell = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, 4)).flatmap(
+    lambda at: st.tuples(st.just(at), CELLS[at[1]]))
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(cells=st.lists(cell, max_size=3),
+       width=st.one_of(st.none(), st.tuples(st.integers(0, len(rows) - 1), st.integers(2, 6))))
+@example(cells=[((0, 0), "a\\x00.wav")], width=None)
+def mutated_manifests_exit_with_a_code(cells, width):
+    edited = [list(row) for row in rows]
+    for (line, column), text in cells:
+        edited[line][column] = text
+    if width:
+        line, columns = width
+        edited[line] = (edited[line] + ["0"] * columns)[:columns]
+    (work / "m.tsv").write_text("\\n".join("\\t".join(row) for row in edited) + "\\n")
+    run(["mix", "--manifest", str(work / "m.tsv"), "--noise-dir", str(noise),
+         "--out-dir", str(work / "out"), "--target-seconds", "0.01"])
+
+mutated_manifests_exit_with_a_code()
+"""
+
+
+@needs_limit
+def test_mutated_manifest_cells_exit_with_their_codes(tmp_path):
+    """Hypothesis rewrites up to three cells of a resolved manifest (clean
+    path, SNR text, split, cut and crop offsets) and may give a line from 2
+    to 6 columns. ``mix`` must then exit 0 or 2-7 with ``error:`` and no
+    traceback, every case in one child limited to 1 GiB of address space."""
+    for name in ("a.wav", "b.wav"):
+        audio.write_wav(tmp_path / name, RNG.uniform(-0.5, 0.5, 800))
+    (tmp_path / "noise").mkdir()
+    audio.write_wav(tmp_path / "noise" / "n.wav", RNG.uniform(-0.5, 0.5, 1600))
+    (tmp_path / "r.tsv").write_text("a.wav\t3\ttrain\t10\t20\nb.wav\t-2\ttest\t1440\t640\n")
+    run_probe(MANIFEST_PROBE, tmp_path / "r.tsv", tmp_path / "noise", tmp_path)
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,7 @@ def test_config_dict_roundtrip():
 
 
 def test_parameter_count_matches_hand_tally():
-    params = M.build_model(M.ModelConfig())
-    by_layer, total = M.count_parameters(params)
+    by_layer, total = M.count_parameters(M.layer_table(M.ModelConfig()))
     assert total == 1_017_345
     assert by_layer["conv1d_1"] == 368
     assert by_layer["conv_rnn"] == 16_992
@@ -131,8 +130,7 @@ def test_unknown_parameter_name_raises():
 
 
 def test_trace_matches_reference_shape_table():
-    params = M.build_model(M.ModelConfig())
-    rows = {r.name: r for r in M.trace_shapes(params)}
+    rows = {r.name: r for r in M.trace_shapes(M.layer_table(M.ModelConfig()))}
     expect = {
         "conv1d_1": (2, 2048, 16, 1024),
         "conv_rnn": (16, 1024, 16, 1024),

@@ -4,12 +4,7 @@ import errno
 import itertools
 import json
 import math
-import os
-import pathlib
-import resource
 import struct
-import subprocess
-import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -23,9 +18,10 @@ from ftnet.audio import frame_signal, write_wav
 from ftnet.checkpoint import checkpoint_load, checkpoint_save
 from ftnet.cli import TRAIN_DEFAULTS
 from ftnet.errors import DegenerateSignalError, FormatError, UsageError
-from ftnet.model import ModelConfig, build_model, multistage_forward
+from ftnet.model import ModelConfig, analyze_structure, build_model, multistage_forward
 from ftnet.tensor import Tensor, mae_loss
 from ftnet.training import TrainState, fit, schedule_update, train_epoch, validate
+from limited_run import needs_limit, run_probe, run_under_limit
 
 
 def micro_config(**over):
@@ -492,38 +488,28 @@ def test_checkpoint_rejects_a_malformed_index_entry(tmp_path, edit_header):
         checkpoint_load(path)
 
 
-def run_under_limit(args, limit=1 << 30):
-    """``python args`` with ftnet importable, in a child limited to ``limit``
-    bytes of address space, so a missed size check fails and not the host."""
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    return subprocess.run(
-        [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        capture_output=True, text=True, timeout=120,
-    )
-
-
 def config_lines(settings):
     """``key = value`` lines of a --config file holding ``settings``."""
     text = {k: ",".join(map(str, v)) if isinstance(v, (list, tuple)) else v for k, v in settings.items()}
     return "".join(f"{key} = {value}\n" for key, value in text.items())
 
 
-@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
+@needs_limit
 @pytest.mark.parametrize("key, value, header_error, file_code", [
     ("kernel", 2**31 - 1, "exceed the bound", 2),
     ("kernel", 9, "stored as", 0),
     ("frame_len", 2**40, "exceed the bound", 2),
     ("glu_dilations", [2**62, 2], "exceed the bound", 2),
-], ids=["huge", "three-times", "frame-len", "dilations"])
+    ("glu_dilations", [1] * 10**6, "exceed the bound", 2),
+], ids=["huge", "three-times", "frame-len", "dilations", "many-blocks"])
 def test_enhance_rejects_a_header_kernel_before_it_allocates(tmp_path, key, value, header_error,
                                                             file_code):
     """A header config whose sizes the index does not hold, or whose largest
     per-frame array is over the bound, exits 5 in a child limited to 1 GiB of
     address space; the same setting in a --config file exits 2 where it is
     over the bound. Unchecked, the huge kernel's model asked for 64 GiB, the
-    frame_len for 8 TiB, and the dilation overran numpy's dimension limit."""
+    frame_len for 8 TiB, the dilation overran numpy's dimension limit, and a
+    million gated blocks ran out of memory building the layer table."""
     path = tmp_path / "bad.ckpt"
     checkpoint_save(build_model(micro_config()), TrainState(), path)
     rewrite_container(path, lambda h: h["config"].update({key: value}))
@@ -544,11 +530,7 @@ def test_enhance_rejects_a_header_kernel_before_it_allocates(tmp_path, key, valu
 
 
 MUTATION_PROBE = """
-import contextlib, io, json, pathlib, struct, sys
-from hypothesis import given, settings, strategies as st
-from ftnet import cli
-
-ckpt, config, wav, work = map(pathlib.Path, sys.argv[1:])
+ckpt, config, wav, work = ARGS
 raw = ckpt.read_bytes()
 (header_len,) = struct.unpack("<Q", raw[8:16])
 header, payload = json.loads(raw[16 : 16 + header_len]), raw[16 + header_len :]
@@ -565,14 +547,6 @@ def as_text(value):
     if isinstance(value, list):
         return ",".join(map(str, value))
     return "" if value is None else str(value).lower() if isinstance(value, bool) else str(value)
-
-def run(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    assert code in (0, 2, 3, 4, 5, 6, 7), (code, err.getvalue())
-    assert code == 0 or "error:" in err.getvalue(), err.getvalue()
-    assert "Traceback" not in err.getvalue()
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(header_edits=st.dictionaries(st.sampled_from(sorted(header["config"])), values,
@@ -593,7 +567,7 @@ mutated_inputs_exit_with_a_code()
 """
 
 
-@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
+@needs_limit
 def test_mutated_header_configs_and_config_files_exit_with_their_codes(tmp_path):
     """Hypothesis edits up to three checkpoint header config values, and up to
     three lines of a --config file, to other JSON types, 0, -1, 2^31-1, 2^62
@@ -603,9 +577,7 @@ def test_mutated_header_configs_and_config_files_exit_with_their_codes(tmp_path)
     checkpoint_save(build_model(micro_config()), TrainState(sample_rate=16000), tmp_path / "c.ckpt")
     (tmp_path / "c.cfg").write_text(config_lines({**micro_config().to_dict(), **TRAIN_DEFAULTS}))
     write_wav(tmp_path / "in.wav", np.full(200, 0.1))
-    run = run_under_limit(["-c", MUTATION_PROBE, str(tmp_path / "c.ckpt"), str(tmp_path / "c.cfg"),
-                           str(tmp_path / "in.wav"), str(tmp_path)])
-    assert run.returncode == 0, run.stderr[-4000:]
+    run_probe(MUTATION_PROBE, tmp_path / "c.ckpt", tmp_path / "c.cfg", tmp_path / "in.wav", tmp_path)
 
 
 @pytest.mark.parametrize("epoch", [-1, 0, 2], ids=["negative", "behind", "ahead"])
@@ -719,6 +691,22 @@ def test_checkpoint_load_holds_little_more_than_the_file_and_the_model(tmp_path)
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * path.stat().st_size
+
+
+def test_loading_a_checkpoint_or_analyzing_a_config_draws_nothing(tmp_path, monkeypatch):
+    # checkpoint_load passes the file's values through build_model, and
+    # analyze_structure reads only the layer table: neither draws a random
+    # value to throw away. The spy must see build_model's own draw.
+    config = micro_config(seed=7)
+    path = tmp_path / "c.ckpt"
+    checkpoint_save(build_model(config), TrainState(), path)
+    real, seeds = np.random.default_rng, []
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: seeds.append(args) or real(*args))
+    checkpoint_load(path)
+    analyze_structure(ModelConfig())
+    assert seeds == []
+    build_model(config)
+    assert seeds == [(7,)]
 
 
 class DiskFullAfter:
