@@ -42,14 +42,14 @@ VERSION = 2
 
 def checkpoint_save(params, state, path):
     """Write params + state to path atomically; same inputs give same bytes."""
-    index = [{"name": name, "shape": list(p.tensor.shape), "step_count": p.step_count}
+    index = [{"name": name, "shape": list(p.shape), "step_count": p.step_count}
              for name, p in params.items()]
     header = {
         "config": params.config.to_dict(),
         "train_state": state.to_dict(),
         "params": index,
         # values, then the two Adam moments, as float64
-        "payload_bytes": 3 * 8 * sum(p.tensor.data.size for p in params.values()),
+        "payload_bytes": 3 * 8 * sum(p.data.size for p in params.values()),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tmp = f"{os.fspath(path)}.tmp"
@@ -60,7 +60,7 @@ def checkpoint_save(params, state, path):
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
             for p in params.values():  # each array's own bytes: no copy of the payload
-                for values in (p.tensor.data, p.m, p.v):
+                for values in (p.data, p.m, p.v):
                     fh.write(memoryview(np.ascontiguousarray(values, dtype="<f8")).cast("B"))
             fh.flush()
             os.fsync(fh.fileno())

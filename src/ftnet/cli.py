@@ -334,7 +334,7 @@ def cmd_enhance(args):
     require_rate(args.infile, rate, state.sample_rate, f"{args.checkpoint}'s training audio")
     frames = frame_signal(clip, config.frame_len, config.hop)
     for p in params.values():
-        p.tensor.data = p.tensor.data.astype(np.float32)
+        p.data = p.data.astype(np.float32)
     total = OverlapAdd(len(frames), config.frame_len, config.hop, clip.size, stages)
     if args.dump_hidden:
         hidden_dir = pathlib.Path(args.dump_hidden)

@@ -154,7 +154,7 @@ class FTNetParams(dict):
 
     def zero_grad(self):
         for p in self.values():
-            p.tensor.grad = None
+            p.grad = None
 
 
 class ShapeRow(NamedTuple):
@@ -264,7 +264,7 @@ def build_model(config, values=None):
 
 def _layer(params, name, x):
     """Named conv with its row's geometry, weight and bias, then its PReLU if it has one."""
-    weight, bias = params[f"{name}.weight"].tensor, params[f"{name}.bias"].tensor
+    weight, bias = params[f"{name}.weight"], params[f"{name}.bias"]
     row = params.layers[name]
     try:
         if row.transposed:
@@ -276,7 +276,7 @@ def _layer(params, name, x):
     except ShapeError as exc:
         raise ShapeError(f"{name}: {exc}") from None
     if row.prelu:
-        out = T.prelu(out, params[f"{name}.prelu"].tensor)
+        out = T.prelu(out, params[f"{name}.prelu"])
     return out
 
 
@@ -308,8 +308,8 @@ def convgru_forward(params, features, hidden):
         # W * features + U * state, the state being hidden or reset . hidden
         fed = _layer(params, f"conv_rnn.{name}_in", features)
         if hidden is None:  # U * 0 is U's bias; U's weight and ``unreached`` get zeros
-            zero_grad = [params[f"conv_rnn.{n}"].tensor for n in (f"{name}_state.weight", *unreached)]
-            return T._add_bias(fed, params[f"conv_rnn.{name}_state.bias"].tensor, zero_grad)
+            zero_grad = [params[f"conv_rnn.{n}"] for n in (f"{name}_state.weight", *unreached)]
+            return T._add_bias(fed, params[f"conv_rnn.{name}_state.bias"], zero_grad)
         state = hidden if reset is None else T.mul(reset, hidden)
         return T.add(fed, _layer(params, f"conv_rnn.{name}_state", state))
 

@@ -314,27 +314,25 @@ def _op(data, inputs, backward):
     return out
 
 
-class Parameter:
-    """Named trainable tensor bundled with its Adam moment buffers."""
+class Parameter(Tensor):
+    """Named trainable leaf tensor with its Adam moment buffers and step count."""
+
+    __slots__ = ("name", "m", "v", "step_count")
 
     def __init__(self, name, values):
+        super().__init__(values, requires_grad=True)
         self.name = name
-        self.tensor = Tensor(values, requires_grad=True)
-        shape, dtype = self.tensor.data.shape, self.tensor.data.dtype
-        self.m = np.zeros(shape, dtype)  # zeroed lazily by the OS, unlike zeros_like
-        self.v = np.zeros(shape, dtype)
+        self.m = np.zeros(self.shape, self.data.dtype)  # zeroed lazily by the OS, unlike zeros_like
+        self.v = np.zeros(self.shape, self.data.dtype)
         self.step_count = 0
 
     @property
-    def data(self):
-        return self.tensor.data
-
-    @property
-    def grad(self):
-        return self.tensor.grad
+    def tensor(self):
+        """The parameter itself, for code that still reaches through ``.tensor``."""
+        return self
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
+        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 # ---------------------------------------------------------------------------
@@ -793,10 +791,10 @@ def adam_step(params, lr):
     """
     params = list(params)
     for p in params:
-        if p.tensor.grad is None:
+        if p.grad is None:
             raise UsageError(f"parameter {p.name!r} has no gradient")
     for p in params:
-        g = p.tensor.grad
+        g = p.grad
         p.step_count += 1
         p.m *= BETA1
         p.m += (1.0 - BETA1) * g
@@ -804,5 +802,5 @@ def adam_step(params, lr):
         p.v += (1.0 - BETA2) * (g * g)
         m_hat = p.m / (1.0 - BETA1**p.step_count)
         v_hat = p.v / (1.0 - BETA2**p.step_count)
-        p.tensor.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
-        p.tensor.grad = None
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+        p.grad = None
