@@ -20,6 +20,8 @@ __all__ = ["OverlapAdd", "read_wav", "write_wav", "require_rate", "samples", "fr
 PCM_SCALE = 32768
 # The most samples a 16-bit WAV holds: its data chunk counts bytes in 32 bits.
 MAX_WAV_SAMPLES = (1 << 31) - 1
+# The highest rate a 16-bit WAV header holds: it stores bytes per second in 32 bits.
+MAX_SAMPLE_RATE = (1 << 31) - 1
 
 
 def require_rate(path, rate, want, whose):
@@ -28,9 +30,17 @@ def require_rate(path, rate, want, whose):
         raise FormatError(f"{path}: sample rate {rate} Hz, but {whose} is {want} Hz")
 
 
+def _check_rate(rate, error, what):
+    """Raise ``error`` about ``what`` unless ``rate`` lies in [1, MAX_SAMPLE_RATE] Hz."""
+    if not 1 <= rate <= MAX_SAMPLE_RATE:
+        raise error(f"{what} must be >= 1 Hz and <= {MAX_SAMPLE_RATE} Hz, got {rate}")
+
+
 def samples(seconds, rate, name):
-    """``seconds`` at ``rate`` Hz in whole samples; under one, or more than a
-    16-bit WAV holds, raises ConfigError naming ``name``."""
+    """``seconds`` at ``rate`` Hz in whole samples; a rate a WAV cannot hold
+    raises ConfigError, and so do under one sample or more than a 16-bit WAV
+    holds, naming ``name``."""
+    _check_rate(rate, ConfigError, "sample rate")
     n = int(round(seconds * rate)) if math.isfinite(seconds * rate) else 0
     if n < 1:
         raise ConfigError(f"{name} {seconds} is under one sample at {rate} Hz")
@@ -52,6 +62,7 @@ def read_wav(path):
                 raise FormatError(f"{path}: expected mono, got {channels} channels")
             if width != 2:
                 raise FormatError(f"{path}: expected 16-bit samples, got {8 * width}-bit")
+            _check_rate(rate, FormatError, f"{path}: sample rate")
             raw = wav.readframes(min(n, os.path.getsize(path) // 2))
     except (wave.Error, EOFError, RuntimeError) as exc:  # wave's RuntimeError: a chunk overruns its parent
         raise FormatError(f"{path}: not a readable PCM WAV ({exc or type(exc).__name__})") from None
@@ -71,8 +82,7 @@ def write_wav(path, signal, sample_rate=16000):
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim != 1:
         raise UsageError(f"expected a 1-D clip, got shape {signal.shape}")
-    if sample_rate <= 0:
-        raise UsageError(f"sample rate must be positive, got {sample_rate}")
+    _check_rate(sample_rate, UsageError, "sample rate")
     if not np.isfinite(signal).all():
         raise DegenerateSignalError(f"{path}: clip samples are not finite (NaN or infinity)")
     # On one copy: |x| * 32768 + 0.5, truncated and given x's sign back,

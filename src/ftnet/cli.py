@@ -37,6 +37,7 @@ from .mixer import (
     measure_snr,
     synth_clean,
     synth_noise,
+    synth_samples,
 )
 from .model import ModelConfig, build_model, forward_blocks, analyze_structure
 from .training import BATCH_SIZE, LOG_HEADER, LR, MAX_EPOCHS, TrainState, fit, format_log_row
@@ -159,12 +160,10 @@ def cmd_synth(args):
     """Generate a desk-scale corpus of clean tones and noise beds."""
     if args.n_clean < 0 or args.n_noise < 0:
         raise ConfigError(f"clip counts must be >= 0, got {args.n_clean} clean, {args.n_noise} noise")
-    if args.sample_rate < 1:
-        raise ConfigError(f"sample rate must be >= 1 Hz, got {args.sample_rate}")
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
     for key in ("clean_seconds", "noise_seconds"):
-        samples(getattr(args, key), args.sample_rate, key)
+        synth_samples(getattr(args, key), args.sample_rate, key)
     out = pathlib.Path(args.out_dir)
     clean_dir, noise_dir = out / "clean", out / "noise"
     clean_dir.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .audio import read_wav, require_rate, samples
-from .errors import DegenerateSignalError, FormatError, UsageError, _read_text
+from .errors import ConfigError, DegenerateSignalError, FormatError, UsageError, _read_text
 
 __all__ = [
     "TRAIN_VAL_SNRS",
@@ -33,6 +33,7 @@ __all__ = [
     "mix_at_snr",
     "measure_snr",
     "build_dataset",
+    "synth_samples",
     "synth_clean",
     "synth_noise",
 ]
@@ -323,10 +324,22 @@ def build_dataset(manifest, bank, seed=None, *, target_len, clean_loader=None):
 # ---------------------------------------------------------------------------
 # synthetic desk-scale signals
 
+# The most samples one generated clip may have (262 s at 16 kHz): each is made whole in memory.
+MAX_SYNTH_SAMPLES = 1 << 22
+
+
+def synth_samples(seconds, rate, name):
+    """``audio.samples``, and no more than MAX_SYNTH_SAMPLES, else ConfigError naming ``name``."""
+    n = samples(seconds, rate, name)
+    if n > MAX_SYNTH_SAMPLES:
+        raise ConfigError(f"{name} {seconds} is {n} samples, more than a generated clip may have "
+                          f"({MAX_SYNTH_SAMPLES})")
+    return n
+
 
 def synth_clean(duration_s, rng, sample_rate=16000):
     """Speech-like test tone: a few wandering harmonics under a slow envelope."""
-    n = samples(duration_s, sample_rate, "duration_s")
+    n = synth_samples(duration_s, sample_rate, "duration_s")
     t = np.arange(n) / sample_rate
     f0 = rng.uniform(100.0, 250.0)
     drift = 1.0 + 0.05 * np.sin(2 * np.pi * rng.uniform(0.3, 1.0) * t + rng.uniform(0, 2 * np.pi))
@@ -341,7 +354,7 @@ def synth_clean(duration_s, rng, sample_rate=16000):
 
 def synth_noise(duration_s, rng, sample_rate=16000):
     """Colored broadband noise via a one-pole lowpass over white samples."""
-    n = samples(duration_s, sample_rate, "duration_s")
+    n = synth_samples(duration_s, sample_rate, "duration_s")
     white = rng.standard_normal(n)
     a = rng.uniform(0.8, 0.95)
     colored = np.empty(n)

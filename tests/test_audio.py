@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftnet import audio
+from ftnet import audio, cli
 from ftnet.checkpoint import checkpoint_save
 from ftnet.errors import DegenerateSignalError, FormatError, UsageError
 from ftnet.model import ModelConfig, build_model
@@ -141,27 +141,35 @@ def test_write_rejects_matrix_input(tmp_path):
         audio.write_wav(tmp_path / "x.wav", np.zeros((2, 3)))
 
 
-WAV_PROBE = """
-good, ckpt, work = ARGS
-raw = good.read_bytes()
+# Shared by the WAV probes: up to three header fields set to extremes or any
+# 32-bit value, and the file maybe cut anywhere.
+WAV_MUTATIONS = """
 # Each header field of a 44-byte PCM WAV: its byte offset and struct format.
 FIELDS = {"riff_size": (4, "<I"), "fmt_size": (16, "<I"), "format": (20, "<H"),
           "channels": (22, "<H"), "rate": (24, "<I"), "byte_rate": (28, "<I"),
           "block_align": (32, "<H"), "bits": (34, "<H"), "data_size": (40, "<I")}
 values = st.one_of(st.sampled_from([0, 1, 2, 3, 8, 16, 24, 44, 400, 16000, 2**16 - 1, 2**31 - 1,
                                     2**32 - 1]), st.integers(0, 2**32 - 1))
+edits = st.dictionaries(st.sampled_from(sorted(FIELDS)), values, max_size=3)
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(edits=st.dictionaries(st.sampled_from(sorted(FIELDS)), values, max_size=3),
-       cut=st.one_of(st.none(), st.integers(0, len(raw) - 1)))
-@example(edits={"riff_size": 2**32 - 1, "data_size": 2**32 - 1}, cut=None)
-def mutated_wavs_exit_with_a_code(edits, cut):
+def mutate(raw, edits, cut):
     mutated = bytearray(raw[:cut])
     for field, value in edits.items():
         at, fmt = FIELDS[field]
         if at + struct.calcsize(fmt) <= len(mutated):
             struct.pack_into(fmt, mutated, at, value % 256 ** struct.calcsize(fmt))
-    (work / "m.wav").write_bytes(mutated)
+    return mutated
+"""
+
+WAV_PROBE = WAV_MUTATIONS + """
+good, ckpt, work = ARGS
+raw = good.read_bytes()
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(edits=edits, cut=st.one_of(st.none(), st.integers(0, len(raw) - 1)))
+@example(edits={"riff_size": 2**32 - 1, "data_size": 2**32 - 1}, cut=None)
+def mutated_wavs_exit_with_a_code(edits, cut):
+    (work / "m.wav").write_bytes(mutate(raw, edits, cut))
     run(["metrics", "--clean", str(work / "m.wav"), "--test", str(good)])
     run(["enhance", "--checkpoint", str(ckpt), "--in", str(work / "m.wav"),
          "--out", str(work / "out.wav")])
@@ -183,6 +191,43 @@ def test_mutated_wav_headers_and_truncated_wavs_exit_with_their_codes(tmp_path):
     checkpoint_save(build_model(config), TrainState(sample_rate=16000), tmp_path / "c.ckpt")
     audio.write_wav(tmp_path / "good.wav", RNG.uniform(-0.5, 0.5, 200))
     run_probe(WAV_PROBE, tmp_path / "good.wav", tmp_path / "c.ckpt", tmp_path)
+
+
+MIX_WAV_PROBE = WAV_MUTATIONS + """
+manifest, clean, noise, work = ARGS
+raws = {path: path.read_bytes() for path in (clean, noise)}
+FILES = {"clean": [clean], "noise": [noise], "both": [clean, noise]}
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(edits=edits, cut=st.one_of(st.none(), st.integers(0, min(map(len, raws.values())) - 1)),
+       which=st.sampled_from(sorted(FILES)))
+@example(edits={"rate": 2**31}, cut=None, which="both")
+def mutated_wavs_exit_with_a_code(edits, cut, which):
+    for path, raw in raws.items():
+        path.write_bytes(mutate(raw, edits, cut) if path in FILES[which] else raw)
+    # 64 samples at the mutated rate, so that pairs get written at any rate
+    seconds = 64 / max(edits.get("rate", 16000), 1)
+    run(["mix", "--manifest", str(manifest), "--noise-dir", str(noise.parent),
+         "--out-dir", str(work / "out"), "--target-seconds", repr(seconds)])
+
+mutated_wavs_exit_with_a_code()
+"""
+
+
+@needs_limit
+def test_mutated_wav_headers_and_truncated_wavs_through_mix_exit_with_their_codes(tmp_path):
+    """The same mutations as above, applied to the clean file, the noise file
+    or both, through ``mix`` with a target of 64 samples at the mutated rate,
+    so that the pairs are written at that rate. Before ``read_wav`` bounded
+    the rate, one of 2^31 Hz or more reached ``write_wav``, where ``wave``
+    cannot store its byte rate in 32 bits (``struct.error``)."""
+    manifest = tmp_path / "manifest.tsv"
+    assert cli.main(["synth", "--out-dir", str(tmp_path / "corpus"), "--n-clean", "1",
+                     "--n-noise", "1", "--clean-seconds", "0.05", "--noise-seconds", "0.05",
+                     "--emit-manifest", str(manifest)]) == 0
+    corpus = tmp_path / "corpus"
+    run_probe(MIX_WAV_PROBE, manifest, corpus / "clean" / "clean_000.wav",
+              corpus / "noise" / "noise_000.wav", tmp_path)
 
 
 # ---------------------------------------------------------------------------

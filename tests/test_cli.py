@@ -3,6 +3,7 @@
 import json
 import pathlib
 import re
+import shutil
 import struct
 import tracemalloc
 
@@ -834,6 +835,9 @@ def test_metrics_rejects_a_clip_at_another_rate_than_clean(tmp_path, capsys, fla
     assert "snr_db=" not in captured.out
 
 
+RATE_RANGE = "sample rate must be >= 1 Hz and <= 2147483647 Hz, got"
+
+
 @needs_limit
 @pytest.mark.parametrize("argv, code, message", [
     (["synth", "--out-dir", "{tmp}/out", "--clean-seconds", "1e9"], 2,
@@ -841,16 +845,37 @@ def test_metrics_rejects_a_clip_at_another_rate_than_clean(tmp_path, capsys, fla
     (["mix", "--manifest", "{tmp}/manifest.tsv", "--noise-dir", "{tmp}/corpus/noise",
       "--out-dir", "{tmp}/out", "--target-seconds", "1e4"], 4,
      "noise bank (8000 samples) shorter than needed (160000000)"),
-], ids=["synth-clean-seconds", "mix-target-seconds"])
+    (["synth", "--out-dir", "{tmp}/out", "--n-clean", "1", "--n-noise", "0",
+      "--clean-seconds", "1e5"], 2,
+     "clean_seconds 100000.0 is 1600000000 samples, more than a generated clip may have (4194304)"),
+    (["synth", "--out-dir", "{tmp}/out", "--sample-rate", "1" + "0" * 400], 2,
+     f"{RATE_RANGE} 1{'0' * 400}"),
+    (["synth", "--out-dir", "{tmp}/out", "--sample-rate", str(2**31),
+      "--clean-seconds", "0.000001", "--noise-seconds", "0.000001"], 2, f"{RATE_RANGE} {2**31}"),
+    (["mix", "--manifest", "{tmp}/fast/manifest.tsv", "--noise-dir", "{tmp}/fast/corpus/noise",
+      "--out-dir", "{tmp}/out", "--target-seconds", "0.000001"], 5,
+     f"{{tmp}}/fast/corpus/noise/noise_000.wav: {RATE_RANGE} 3000000000"),
+], ids=["synth-clean-seconds", "mix-target-seconds", "synth-clean-seconds-1e5", "synth-rate-huge",
+        "synth-rate-2^31", "mix-wav-rate-3e9"])
 def test_a_length_too_large_exits_with_its_code_in_a_limited_child(tmp_path, argv, code, message):
     """Unchecked, synth asked for 116 TiB, and mix padded the clean clip to
-    10^4 s (1.19 GiB) before it compared the target with the 0.5 s bank."""
+    10^4 s (1.19 GiB) before it compared the target with the 0.5 s bank.
+    10^5 s of synthetic speech asked for 11.9 GiB; a rate of 10^400
+    overflowed ``seconds * rate``; and a rate of 2^31 or more, from a flag or
+    from WAV headers (the ``fast`` copy of the corpus), stopped ``wave``
+    writing a header whose byte rate does not fit 32 bits."""
     assert cli.main(["synth", "--out-dir", str(tmp_path / "corpus"), "--n-clean", "1",
                      "--n-noise", "1", "--noise-seconds", "0.5",
                      "--emit-manifest", str(tmp_path / "manifest.tsv")]) == 0
+    shutil.copytree(tmp_path / "corpus", tmp_path / "fast" / "corpus")
+    shutil.copy(tmp_path / "manifest.tsv", tmp_path / "fast")
+    for path in (tmp_path / "fast").rglob("*.wav"):  # the rate field of each header
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 24, 3_000_000_000)
+        path.write_bytes(raw)
     run = run_under_limit(["-m", "ftnet.cli", *(arg.format(tmp=tmp_path) for arg in argv)])
     assert run.returncode == code, run.stderr
-    assert f"error: {message}" in run.stderr and "Traceback" not in run.stderr
+    assert f"error: {message.format(tmp=tmp_path)}" in run.stderr and "Traceback" not in run.stderr
     assert not (tmp_path / "out").exists()
 
 

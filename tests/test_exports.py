@@ -153,3 +153,16 @@ def test_only_audio_words_the_clip_rules():
                             for arg in node.exc.args for part in ast.walk(arg))):
                 found.append(f"{path.name}:{node.lineno} FormatError in Hz")
     assert found == []
+
+
+def test_src_reaches_no_weight_through_dot_tensor():
+    """A ``Parameter`` is the leaf tensor it trains, so ftnet uses each one
+    directly. ``Parameter.tensor``, which returns the parameter itself, stays
+    only for the benchmark runner, and no ftnet code reads it."""
+    src = pathlib.Path(ftnet.__file__).parent
+    readers = [
+        f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "tensor"
+    ]
+    assert readers == []

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftnet import checkpoint, mixer, tensor, training
+from ftnet import checkpoint, cli, mixer, tensor, training
 from ftnet.audio import frame_signal, write_wav
 from ftnet.checkpoint import checkpoint_load, checkpoint_save
 from ftnet.cli import TRAIN_DEFAULTS
@@ -529,12 +529,13 @@ def test_enhance_rejects_a_header_kernel_before_it_allocates(tmp_path, key, valu
         assert "error:" in run.stderr and "exceed the bound" in run.stderr
 
 
-MUTATION_PROBE = """
-ckpt, config, wav, work = ARGS
-raw = ckpt.read_bytes()
+# Shared by the checkpoint probes: the first argument's header and payload,
+# the values an edit may set (other JSON types, extremes, or GONE for the key
+# removed), and ``container``, which writes an edited header back over the payload.
+CHECKPOINT_EDITS = """
+raw = ARGS[0].read_bytes()
 (header_len,) = struct.unpack("<Q", raw[8:16])
 header, payload = json.loads(raw[16 : 16 + header_len]), raw[16 + header_len :]
-lines = dict(line.split(" = ") for line in config.read_text().splitlines())
 GONE = "<removed>"
 EXTREMES = [0, -1, 2**31 - 1, 2**62]
 values = st.one_of(
@@ -542,6 +543,15 @@ values = st.one_of(
     st.booleans(), st.none(), st.floats(), st.text("ab1.,#= -", max_size=4),
     st.dictionaries(st.text("ab", max_size=1), st.sampled_from(EXTREMES), max_size=1),
 )
+
+def container(edited):
+    blob = json.dumps(edited).encode()
+    return raw[:8] + struct.pack("<Q", len(blob)) + blob + payload
+"""
+
+MUTATION_PROBE = CHECKPOINT_EDITS + """
+ckpt, config, wav, work = ARGS
+lines = dict(line.split(" = ") for line in config.read_text().splitlines())
 
 def as_text(value):
     if isinstance(value, list):
@@ -555,8 +565,7 @@ def as_text(value):
 def mutated_inputs_exit_with_a_code(header_edits, line_edits):
     edited = {**header, "config": {k: v for k, v in {**header["config"], **header_edits}.items()
                                    if v != GONE}}
-    blob = json.dumps(edited).encode()
-    (work / "m.ckpt").write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + payload)
+    (work / "m.ckpt").write_bytes(container(edited))
     run(["enhance", "--checkpoint", str(work / "m.ckpt"), "--in", str(wav),
          "--out", str(work / "out.wav")])
     text = {k: as_text(v) for k, v in {**lines, **line_edits}.items() if v != GONE}
@@ -578,6 +587,75 @@ def test_mutated_header_configs_and_config_files_exit_with_their_codes(tmp_path)
     (tmp_path / "c.cfg").write_text(config_lines({**micro_config().to_dict(), **TRAIN_DEFAULTS}))
     write_wav(tmp_path / "in.wav", np.full(200, 0.1))
     run_probe(MUTATION_PROBE, tmp_path / "c.ckpt", tmp_path / "c.cfg", tmp_path / "in.wav", tmp_path)
+
+
+STATE_AND_INDEX_PROBE = CHECKPOINT_EDITS + """
+ckpt, log, manifest, noise, config, wav, work = ARGS
+log_text = log.read_text()
+entries = st.integers(0, len(header["params"]) - 1)
+# Where an edit lands: a train_state value, an index entry's name, step_count
+# or shape entry, or payload_bytes.
+places = st.one_of(
+    st.sampled_from(sorted(header["train_state"])).map(lambda key: ("train_state", key)),
+    st.tuples(st.just("params"), entries, st.sampled_from(["name", "step_count"])),
+    st.tuples(st.just("params"), entries, st.just("shape"), st.integers(0, 2)),
+    st.just(("payload_bytes",)),
+)
+
+def edit(tree, place, value):
+    *path, last = place
+    for key in path:
+        tree = tree[key]
+    if isinstance(tree, list) and last >= len(tree):  # an earlier edit removed it
+        return
+    if value != GONE:
+        tree[last] = value
+    elif isinstance(tree, dict):
+        tree.pop(last, None)
+    else:
+        del tree[last]
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(edits=st.lists(st.tuples(places, values), min_size=1, max_size=3))
+@example(edits=[(("train_state", "lr"), 2**62), (("train_state", "rng_state"), 2**62)])
+@example(edits=[(("params", 0, "step_count"), 2**62)])
+def mutated_checkpoints_exit_with_a_code(edits):
+    edited = json.loads(json.dumps(header))
+    for place, value in edits:
+        edit(edited, place, value)
+    (work / "m.ckpt").write_bytes(container(edited))
+    run(["enhance", "--checkpoint", str(work / "m.ckpt"), "--in", str(wav),
+         "--out", str(work / "out.wav")])
+    (work / "m.csv").write_text(log_text)
+    run(["train", "--resume", "--out", str(work / "m.ckpt"), "--log", str(work / "m.csv"),
+         "--manifest", str(manifest), "--noise-dir", str(noise), "--config", str(config),
+         "--max-epochs", "2"])
+
+mutated_checkpoints_exit_with_a_code()
+"""
+
+
+@needs_limit
+def test_mutated_train_states_and_parameter_indexes_exit_with_their_codes(tmp_path, capsys):
+    """Hypothesis edits up to three places of a one-epoch checkpoint's header:
+    train_state values, index entries (name, shape entries, step_count) and
+    payload_bytes, to the values above. ``enhance`` and ``train --resume``
+    must then exit 0 or 2-7 with ``error:`` and no traceback, every case in
+    one child limited to 1 GiB of address space."""
+    manifest, config = tmp_path / "manifest.tsv", tmp_path / "c.cfg"
+    assert cli.main(["synth", "--out-dir", str(tmp_path / "corpus"), "--n-clean", "2",
+                     "--n-noise", "1", "--clean-seconds", "0.01", "--noise-seconds", "0.05",
+                     "--emit-manifest", str(manifest)]) == 0
+    config.write_text(config_lines({**micro_config().to_dict(), **TRAIN_DEFAULTS,
+                                    "target_seconds": 0.004}))
+    train = ["train", "--manifest", str(manifest), "--noise-dir", str(tmp_path / "corpus" / "noise"),
+             "--config", str(config)]
+    assert cli.main([*train, "--out", str(tmp_path / "c.ckpt"), "--log", str(tmp_path / "c.csv"),
+                     "--max-epochs", "1"]) == 0
+    capsys.readouterr()
+    write_wav(tmp_path / "in.wav", np.full(200, 0.1))
+    run_probe(STATE_AND_INDEX_PROBE, tmp_path / "c.ckpt", tmp_path / "c.csv", manifest,
+              tmp_path / "corpus" / "noise", config, tmp_path / "in.wav", tmp_path)
 
 
 @pytest.mark.parametrize("epoch", [-1, 0, 2], ids=["negative", "behind", "ahead"])
