@@ -648,10 +648,9 @@ def test_mutated_train_states_and_parameter_indexes_exit_with_their_codes(tmp_pa
                      "--emit-manifest", str(manifest)]) == 0
     config.write_text(config_lines({**micro_config().to_dict(), **TRAIN_DEFAULTS,
                                     "target_seconds": 0.004}))
-    train = ["train", "--manifest", str(manifest), "--noise-dir", str(tmp_path / "corpus" / "noise"),
-             "--config", str(config)]
-    assert cli.main([*train, "--out", str(tmp_path / "c.ckpt"), "--log", str(tmp_path / "c.csv"),
-                     "--max-epochs", "1"]) == 0
+    assert cli.main(["train", "--manifest", str(manifest), "--noise-dir", str(tmp_path / "corpus" / "noise"),
+                     "--config", str(config), "--out", str(tmp_path / "c.ckpt"),
+                     "--log", str(tmp_path / "c.csv"), "--max-epochs", "1"]) == 0
     capsys.readouterr()
     write_wav(tmp_path / "in.wav", np.full(200, 0.1))
     run_probe(STATE_AND_INDEX_PROBE, tmp_path / "c.ckpt", tmp_path / "c.csv", manifest,
